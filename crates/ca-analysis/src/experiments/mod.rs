@@ -20,6 +20,11 @@
 //! | E10 | weak adversary: `L/U ≫ N` (§8) |
 //! | E11 | level growth by topology — the capacity `L(R)` that Thm 5.4 prices |
 //! | E12 | causal independence ⟹ probabilistic independence (Lemma A.2) |
+//!
+//! The extension experiments X2–X7 live here too. X1 (the asynchronous
+//! model) lives in `ca-async`, which depends on this crate, so the one
+//! registry listing all of them in id order is
+//! `ca_async::experiments::registry`.
 
 use crate::report::Table;
 use serde::{Deserialize, Serialize};
@@ -88,6 +93,17 @@ impl Scale {
             seed: 0xCA11,
         }
     }
+
+    /// [`Scale::full`] or [`Scale::quick`], with the trial count overridden
+    /// when one is given — the `--full` / `--trials K` resolution shared by
+    /// every scaled `ca` command.
+    pub fn resolve(full: bool, trials: Option<u64>) -> Self {
+        let base = if full { Scale::full() } else { Scale::quick() };
+        Scale {
+            trials: trials.unwrap_or(base.trials),
+            ..base
+        }
+    }
 }
 
 /// The output of one experiment.
@@ -142,81 +158,17 @@ pub trait Experiment: Sync {
     }
 }
 
-/// All experiments, in order: the paper suite E1–E12 plus the extension /
-/// ablation experiments X2 (adaptive adversary), X3 (bandwidth), X4
-/// (chain vs gossip), X5 (eager dichotomy), X6 (the exact §8 curve via
-/// the level-vector DP), and X7 (big-graph topology × weak-adversary
-/// frontiers). X1 (the asynchronous model) lives in the `ca-async` crate,
-/// which this crate cannot depend on; the `expt` runner appends it.
-pub fn all_experiments() -> Vec<Box<dyn Experiment>> {
-    vec![
-        Box::new(ProtocolAUnsafety),
-        Box::new(ProtocolALiveness),
-        Box::new(TradeoffBound),
-        Box::new(ProtocolSUnsafety),
-        Box::new(LivenessCurve),
-        Box::new(LevelLemmas),
-        Box::new(CountTracksMl),
-        Box::new(SecondLowerBound),
-        Box::new(RoundCrossover),
-        Box::new(WeakAdversary),
-        Box::new(TopologyLevels),
-        Box::new(CausalIndependence),
-        Box::new(AdaptiveAdversaryExperiment),
-        Box::new(BandwidthAblation),
-        Box::new(ChainVsGossip),
-        Box::new(EagerDichotomy),
-        Box::new(ExactCurve),
-        Box::new(SweepFrontier),
-    ]
-}
-
-/// Runs every experiment in the registry across `workers` threads
-/// (0 = available parallelism), returning results in registry order.
-///
-/// Each experiment is an independent, seed-deterministic function of
-/// `scale`, so results are identical to running [`all_experiments`] serially
-/// — [`ca_sim::chaos::parallel_map`] assigns the output slot by registry
-/// index, whatever worker computes it. This is the entry point the
-/// `paper_claims` suite and `ca bench` use to exploit all cores.
-pub fn run_all(scale: Scale, workers: usize) -> Vec<ExperimentResult> {
-    let experiments = all_experiments();
-    ca_sim::chaos::parallel_map(experiments.len(), workers, |k| {
-        experiments[k].run_observed(scale)
-    })
-}
-
-/// Looks up an experiment by id (case-insensitive).
-pub fn experiment_by_id(id: &str) -> Option<Box<dyn Experiment>> {
-    all_experiments()
-        .into_iter()
-        .find(|e| e.id().eq_ignore_ascii_case(id))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn registry_is_complete_and_unique() {
-        let all = all_experiments();
-        assert_eq!(all.len(), 18);
-        let mut ids: Vec<_> = all.iter().map(|e| e.id()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 18, "duplicate experiment ids");
-    }
-
-    #[test]
-    fn lookup_by_id() {
-        assert!(experiment_by_id("e4").is_some());
-        assert!(experiment_by_id("E12").is_some());
-        assert!(experiment_by_id("E99").is_none());
-    }
-
-    #[test]
     fn scales() {
         assert!(Scale::quick().trials < Scale::full().trials);
         assert_eq!(Scale::quick().seed, Scale::full().seed);
+        assert_eq!(Scale::resolve(false, None), Scale::quick());
+        assert_eq!(Scale::resolve(true, None), Scale::full());
+        let smoke = Scale::resolve(true, Some(20));
+        assert_eq!((smoke.trials, smoke.seed), (20, Scale::full().seed));
     }
 }

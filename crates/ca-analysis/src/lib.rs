@@ -33,7 +33,7 @@ pub mod tradeoff;
 pub mod weak_exact;
 
 pub use exact::{protocol_a_outcomes, protocol_s_outcomes, ExactOutcome};
-pub use experiments::{all_experiments, experiment_by_id, Experiment, ExperimentResult, Scale};
+pub use experiments::{Experiment, ExperimentResult, Scale};
 pub use level_dp::{DpSpec, SweepReport};
 pub use report::Table;
 pub use sweep::{run_sweep, ScenarioSweepConfig, ScenarioSweepReport};

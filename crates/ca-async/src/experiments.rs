@@ -1,4 +1,5 @@
-//! X1 — the asynchronous extension experiment.
+//! X1 — the asynchronous extension experiment — and the experiment
+//! [`registry`].
 //!
 //! Section 8: *"While our results are stated in a synchronous model, it
 //! seems clear that they can be extended to an asynchronous model."* X1
@@ -6,12 +7,15 @@
 //! deadline, the asynchronous Protocol S keeps `U ≤ ε` (exactly, via the
 //! asynchronous exact analysis) while its liveness is priced in
 //! latency-bounded gossip depth instead of rounds.
+//!
+//! This crate is the lowest one that sees both X1 and the synchronous suite
+//! in `ca-analysis`, so it builds the one registry of every experiment.
 
 use crate::courier::{CutCourier, RandomDropCourier, ReliableCourier};
 use crate::engine::{run_async, AsyncConfig};
 use crate::exact::async_s_outcomes;
 use crate::protocol::AsyncS;
-use ca_analysis::experiments::{Experiment, ExperimentResult, Scale};
+use ca_analysis::experiments::*;
 use ca_analysis::report::{fmt_f64, Table};
 use ca_core::graph::Graph;
 use ca_core::outcome::Outcome;
@@ -140,14 +144,46 @@ impl Experiment for AsyncExtension {
     }
 }
 
-/// The extension experiments contributed by this crate.
-pub fn extension_experiments() -> Vec<Box<dyn Experiment>> {
-    vec![Box::new(AsyncExtension)]
+/// Every experiment, in id order: the paper suite E1–E12, then the
+/// extensions X1–X7. `ca expt`, `ca bench`, `ca profile` and the
+/// `paper_claims` test all run this list.
+pub fn registry() -> Vec<Box<dyn Experiment>> {
+    vec![
+        Box::new(ProtocolAUnsafety),
+        Box::new(ProtocolALiveness),
+        Box::new(TradeoffBound),
+        Box::new(ProtocolSUnsafety),
+        Box::new(LivenessCurve),
+        Box::new(LevelLemmas),
+        Box::new(CountTracksMl),
+        Box::new(SecondLowerBound),
+        Box::new(RoundCrossover),
+        Box::new(WeakAdversary),
+        Box::new(TopologyLevels),
+        Box::new(CausalIndependence),
+        Box::new(AsyncExtension),
+        Box::new(AdaptiveAdversaryExperiment),
+        Box::new(BandwidthAblation),
+        Box::new(ChainVsGossip),
+        Box::new(EagerDichotomy),
+        Box::new(ExactCurve),
+        Box::new(SweepFrontier),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn registry_lists_every_id_once_in_id_order() {
+        let ids: Vec<&str> = registry().iter().map(|e| e.id()).collect();
+        let expected: Vec<String> = (1..=12)
+            .map(|k| format!("E{k}"))
+            .chain((1..=7).map(|k| format!("X{k}")))
+            .collect();
+        assert_eq!(ids, expected);
+    }
 
     #[test]
     fn x1_passes() {

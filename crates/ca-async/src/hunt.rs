@@ -84,7 +84,7 @@ pub struct HuntConfig {
     /// Maximum faults per candidate schedule.
     pub max_faults: usize,
     /// Worker threads (0 = available parallelism). The report is
-    /// independent of this — it is excluded from [`reports_match`].
+    /// independent of this — [`run_hunt`] stores it as 0.
     pub threads: usize,
     /// Elites kept (and shrunk) per generation.
     pub elites: usize,
@@ -290,15 +290,6 @@ impl HuntReport {
     pub fn from_json(text: &str) -> Result<Self, CaError> {
         json::from_str(text).map_err(|e| CaError::malformed(format!("bad hunt report JSON: {e}")))
     }
-}
-
-/// Byte-equality modulo the thread count: `config.threads` is an execution
-/// detail, never part of the determinism contract, so the drift gate
-/// normalizes it before comparing.
-pub fn reports_match(current: &HuntReport, baseline: &HuntReport) -> bool {
-    let mut b = baseline.clone();
-    b.config.threads = current.config.threads;
-    current.to_json() == b.to_json()
 }
 
 /// The synchronous run a schedule induces: tick `r − 1` carries round `r`
@@ -1152,7 +1143,11 @@ mod tests {
             ..config
         };
         let c = run_hunt(&g, &serial);
-        assert!(reports_match(&a, &c), "thread count leaked into the report");
+        assert_eq!(
+            a.to_json(),
+            c.to_json(),
+            "thread count leaked into the report"
+        );
     }
 
     #[test]

@@ -973,7 +973,7 @@ mod tests {
         accounting_holds(&report);
         let t = &report.totals;
         assert_eq!(t.instances, 480);
-        // The acceptance criterion: injected faults and overload must
+        // The acceptance bar: injected faults and overload must
         // surface as explicit degradation, not hangs — and most of the
         // service still works.
         assert!(t.shed > 0, "open-loop overload must shed: {t:?}");

@@ -12,7 +12,8 @@
 //! ([`BenchConfig::stable`]) the whole report is deterministic, which the
 //! golden tests use to pin the format.
 
-use ca_analysis::experiments::{all_experiments, Experiment, Scale};
+use ca_analysis::experiments::Scale;
+use ca_async::experiments::registry;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -25,21 +26,6 @@ pub struct BenchConfig {
     pub trials: Option<u64>,
     /// Zero out all clock readings so the report is byte-deterministic.
     pub stable: bool,
-}
-
-impl BenchConfig {
-    /// The scale this configuration resolves to.
-    pub fn scale(&self) -> Scale {
-        let mut scale = if self.full {
-            Scale::full()
-        } else {
-            Scale::quick()
-        };
-        if let Some(trials) = self.trials {
-            scale.trials = trials;
-        }
-        scale
-    }
 }
 
 /// One experiment's timing.
@@ -104,31 +90,12 @@ impl BenchReport {
     }
 }
 
-/// The full registry `ca bench` sweeps: the synchronous suite plus the
-/// asynchronous extension experiments, in id order (E1–E12, X1–X7). The
-/// asynchronous X1 is merged into its numeric slot rather than appended, so
-/// the report order matches the registry ids.
-pub fn bench_registry() -> Vec<Box<dyn Experiment>> {
-    let mut registry = all_experiments();
-    registry.extend(ca_async::experiments::extension_experiments());
-    registry.sort_by_key(|e| id_sort_key(e.id()));
-    registry
-}
-
-/// Orders ids like `"E9"` / `"E10"` / `"X1"` by (family letter, number) —
-/// lexicographic string order would put E10 before E2.
-fn id_sort_key(id: &str) -> (char, u32) {
-    let family = id.chars().next().unwrap_or('?');
-    let number = id[family.len_utf8()..].parse().unwrap_or(u32::MAX);
-    (family, number)
-}
-
 /// Runs every experiment once at the configured scale, timing each.
 pub fn run_bench(config: &BenchConfig) -> BenchReport {
-    let scale = config.scale();
+    let scale = Scale::resolve(config.full, config.trials);
     let mut experiments = Vec::new();
     let mut total_ms = 0.0;
-    for experiment in bench_registry() {
+    for experiment in registry() {
         let start = Instant::now();
         let result = experiment.run(scale);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -387,20 +354,10 @@ mod tests {
 
     #[test]
     fn report_order_matches_registry_order() {
-        let registry_ids: Vec<&str> = bench_registry().iter().map(|e| e.id()).collect();
-        // The registry itself is in id order: E1..E12 then X1..X6.
-        let mut sorted = registry_ids.clone();
-        sorted.sort_by_key(|id| id_sort_key(id));
-        assert_eq!(registry_ids, sorted, "registry must be in id order");
-        assert!(
-            registry_ids.windows(2).all(|w| w[0] != w[1]),
-            "ids are unique"
-        );
-        let x1 = registry_ids.iter().position(|id| *id == "X1").unwrap();
-        let x2 = registry_ids.iter().position(|id| *id == "X2").unwrap();
-        assert!(x1 < x2, "X1 must not be appended after the other X*");
-
-        // And the emitted JSON lists experiments in exactly that order.
+        // The registry is in id order (pinned in `ca-async`); the emitted
+        // JSON lists experiments in exactly that order.
+        let registry = registry();
+        let registry_ids: Vec<&str> = registry.iter().map(|e| e.id()).collect();
         let report = run_bench(&BenchConfig {
             full: false,
             trials: Some(10),

@@ -12,6 +12,9 @@
 //! ca hunt     --graph k2 --rounds 8 --t 8 --seed 7          # adversary search
 //! ca hunt     --graph k2 --replay worst.json                # re-score a schedule
 //! ca hunt     --graph k2 --seed 7 --compare hunt_smoke.json # fail on drift
+//! ca expt                                          # every experiment, quick scale
+//! ca expt     --full --csv results/                # paper-grade, tables as CSV
+//! ca expt     e4 x1                                # only the named experiments
 //! ca bench    --out BENCH_experiments.json         # time every experiment
 //! ca bench    --compare BENCH_experiments.json     # fail on >25% regression
 //! ca profile  --out profile.json                   # per-experiment engine metrics
@@ -25,23 +28,153 @@
 //!
 //! Graph names: `k<m>` (complete), `line<m>`, `ring<m>`, `star<m>`,
 //! `grid<r>x<c>`, `cube<d>`, `torus<r>x<c>`.
+//!
+//! The six report commands (`bench`, `profile`, `serve`, `sweep`,
+//! `exact --sweep`, `hunt`) share one gate, [`publish`]: each report type
+//! supplies only its drift rule and messages through [`GatedReport`].
 
 use ca_analysis::exact::protocol_s_outcomes;
+use ca_analysis::experiments::{Experiment, Scale};
+use ca_analysis::level_dp::{self, DpSpec, SweepReport};
 use ca_analysis::report::Table;
+use ca_analysis::{run_sweep, ScenarioSweepConfig, ScenarioSweepReport};
 use ca_async::campaign::{evaluate_schedule, run_campaign, CampaignConfig};
-use ca_async::{Arrival, CourierSpec, FaultSchedule, ServeConfig, ServeReport};
+use ca_async::experiments::registry;
+use ca_async::{Arrival, CourierSpec, FaultSchedule, HuntConfig, HuntReport, ServeConfig};
+use ca_async::{ServeReport, ServeTotals};
+use ca_bench::bench::{self, BenchConfig, BenchReport};
+use ca_bench::profile::{self, ProfileConfig, ProfileReport};
 use ca_core::exec::execute;
 use ca_core::graph::Graph;
 use ca_core::ids::{ProcessId, Round};
 use ca_core::level::{levels, modified_levels};
 use ca_core::run::Run;
 use ca_core::tape::TapeSet;
+use ca_obs::Snapshot;
 use ca_protocols::ProtocolS;
 use ca_sim::trace::{render_run, render_trace};
 use ca_sim::{simulate, FixedRun, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
+
+/// One subcommand: its name, its `--help` entry, and its body.
+struct Command {
+    name: &'static str,
+    /// Flags and summary for `--help`; empty when [`FLAGS_HELP`] covers it.
+    help: &'static str,
+    run: fn(&Opts, &Graph, &Run) -> Result<(), String>,
+}
+
+/// Every subcommand, in `--help` order. The usage line, the help text, and
+/// the unknown-command error are all generated from this table.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "levels",
+        help: "",
+        run: levels_cmd,
+    },
+    Command {
+        name: "trace",
+        help: "",
+        run: trace_cmd,
+    },
+    Command {
+        name: "simulate",
+        help: "",
+        run: simulate_cmd,
+    },
+    Command {
+        name: "exact",
+        help: "[--sweep] [--out FILE] [--compare OLD.json] — one run's \
+               exact outcome distribution; with --sweep, the exhaustive worst \
+               case over ALL runs (every input subset × delivery pattern) via \
+               the level-vector DP, as byte-stable JSON: the full §8 curve at \
+               --rounds N is polynomial in N, where enumeration stops at \
+               2^24 executions; --compare fails on any drift from a baseline",
+        run: exact_cmd,
+    },
+    Command {
+        name: "chaos",
+        help: "--deadline T --schedules K --max-faults F --threads W \
+               --mc-trials K --out FILE --replay FILE [--spans]",
+        run: chaos_cmd,
+    },
+    Command {
+        name: "hunt",
+        help: "[--generations G] [--population P] [--budget K] \
+               [--rounds N] [--t T] [--max-faults F] [--seed S] [--threads W] \
+               [--out FILE] [--replay FILE] [--compare OLD.json] [--spans] — \
+               adaptive adversary search for the paper's worst-case fault \
+               schedule; the report is byte-stable in (graph, config) at any \
+               --threads; --replay re-scores a saved schedule; --compare fails \
+               if the report drifted from a baseline",
+        run: hunt_cmd,
+    },
+    Command {
+        name: "expt",
+        help: "[--full] [--trials K] [--seed S] [--list] [--spans] [--csv DIR] \
+               [ID ...] — run the E1–E12 paper suite and the X1–X7 extensions \
+               (all, or the named ids, case-insensitive) at quick scale and \
+               seed 0xca11 unless overridden, printing each table with its \
+               paper-shape verdict; --csv writes one CSV per table; exits 1 if \
+               any check fails",
+        run: expt_cmd,
+    },
+    Command {
+        name: "bench",
+        help: "[--full] [--trials K] [--stable] [--out FILE] \
+               [--compare OLD.json] — time every experiment, write \
+               BENCH_experiments.json; --compare diffs against an old report \
+               and fails on a >25% throughput regression",
+        run: bench_cmd,
+    },
+    Command {
+        name: "profile",
+        help: "[--full] [--trials K] [--threads W] [--timed] [--spans] \
+               [--out FILE] [--compare OLD.json] — capture engine counters, \
+               histograms, and span trees per experiment (byte-stable by \
+               default; --timed adds clocks); --compare fails if any stable \
+               counter drifted (needs an obs-enabled build)",
+        run: profile_cmd,
+    },
+    Command {
+        name: "serve",
+        help: "[--smoke] [--instances N] [--shards N] [--queue-bound N] \
+               [--budget T] [--retries N] [--deadline T] [--t T] \
+               [--arrival-gap G | --closed] [--schedule FILE | --latency L] \
+               [--seed S] [--threads W] [--timed] [--report] [--out FILE] \
+               [--compare OLD.json] [--p99-budget PCT] — run a sharded \
+               coordination service (instances of async S over one courier) \
+               under load; the aggregate report is byte-stable in (scale, \
+               seed) at any --threads; --compare fails if stable counters \
+               drift or p99 decision latency regresses past the budget \
+               (default 25%)",
+        run: serve_cmd,
+    },
+    Command {
+        name: "sweep",
+        help: "[--m N] [--trials K] [--seed S] [--threads W] \
+               [--out FILE] [--compare OLD.json] — topology × weak-adversary \
+               tradeoff frontiers on generated big graphs (grid, small world, \
+               scale free × iid and Gilbert–Elliott loss) via the sparse level \
+               frontier; byte-stable JSON on stdout (table on stderr) at any \
+               --threads; --compare fails on any drift from a baseline",
+        run: sweep_cmd,
+    },
+    Command {
+        name: "graphs",
+        help: "",
+        run: graphs_cmd,
+    },
+];
+
+/// The flags most commands share, for `--help`.
+const FLAGS_HELP: &str = "flags: --graph NAME --rounds N --epsilon E | --t T --cut R \
+                          --drop-link F:T:R --trials K --seed S";
 
 fn parse_graph(name: &str) -> Result<Graph, String> {
     let err = |e: ca_core::ModelError| format!("bad graph `{name}`: {e}");
@@ -122,8 +255,13 @@ struct Opts {
     // `hunt` flags.
     generations: u32,
     population: usize,
+    // `expt` flags and its positional experiment ids.
+    list: bool,
+    csv: Option<PathBuf>,
+    ids: Vec<String>,
     deadline_set: bool,
     t_set: bool,
+    seed_set: bool,
 }
 
 impl Default for Opts {
@@ -166,13 +304,24 @@ impl Default for Opts {
             p99_budget: 25,
             generations: 6,
             population: 24,
+            list: false,
+            csv: None,
+            ids: Vec::new(),
             deadline_set: false,
             t_set: false,
+            seed_set: false,
         }
     }
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// Parses `value` as the number `flag` takes.
+fn num<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad {flag}"))
+}
+
+/// Parses the flags after the command name. Bare words are experiment ids
+/// when `takes_ids` (only `ca expt` takes them) and errors otherwise.
+fn parse_opts(args: &[String], takes_ids: bool) -> Result<Opts, String> {
     let mut opts = Opts::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -183,30 +332,25 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         };
         match arg.as_str() {
             "--graph" => opts.graph = next("a graph name")?,
-            "--rounds" => {
-                opts.rounds = next("a count")?
-                    .parse()
-                    .map_err(|_| "bad --rounds".to_owned())?
-            }
+            "--rounds" => opts.rounds = num(arg, next("a count")?)?,
             "--epsilon" => {
-                opts.epsilon = next("a value")?
-                    .parse()
-                    .map_err(|_| "bad --epsilon".to_owned())?;
-                opts.t = (1.0 / opts.epsilon).round() as u64;
+                let epsilon: f64 = num(arg, next("a value")?)?;
+                if epsilon.is_nan() || epsilon <= 0.0 || epsilon > 1.0 {
+                    return Err(format!("--epsilon must be in (0, 1], got {epsilon}"));
+                }
+                opts.epsilon = epsilon;
+                opts.t = (1.0 / epsilon).round() as u64;
                 opts.t_set = true;
             }
             "--t" => {
-                opts.t = next("a value")?.parse().map_err(|_| "bad --t".to_owned())?;
+                opts.t = num(arg, next("a value")?)?;
+                if opts.t == 0 {
+                    return Err("--t must be at least 1 (ε = 1/t)".to_owned());
+                }
                 opts.epsilon = 1.0 / opts.t as f64;
                 opts.t_set = true;
             }
-            "--cut" => {
-                opts.cut = Some(
-                    next("a round")?
-                        .parse()
-                        .map_err(|_| "bad --cut".to_owned())?,
-                )
-            }
+            "--cut" => opts.cut = Some(num(arg, next("a round")?)?),
             "--drop-link" => {
                 let spec = next("FROM:TO:ROUND")?;
                 let parts: Vec<_> = spec.split(':').collect();
@@ -220,788 +364,619 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 ));
             }
             "--trials" => {
-                let v: u64 = next("a count")?
-                    .parse()
-                    .map_err(|_| "bad --trials".to_owned())?;
-                opts.trials = v;
-                opts.bench_trials = Some(v);
+                opts.trials = num(arg, next("a count")?)?;
+                opts.bench_trials = Some(opts.trials);
             }
             "--full" => opts.full = true,
             "--sweep" => opts.sweep = true,
-            "--m" => opts.m = next("a count")?.parse().map_err(|_| "bad --m".to_owned())?,
+            "--m" => opts.m = num(arg, next("a count")?)?,
             "--stable" => opts.stable = true,
             "--timed" => opts.timed = true,
             "--spans" => opts.spans = true,
             "--seed" => {
-                opts.seed = next("a seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed".to_owned())?
+                opts.seed = num(arg, next("a seed")?)?;
+                opts.seed_set = true;
             }
             "--deadline" => {
-                opts.deadline = next("a time")?
-                    .parse()
-                    .map_err(|_| "bad --deadline".to_owned())?;
+                opts.deadline = num(arg, next("a time")?)?;
                 opts.deadline_set = true;
             }
-            "--schedules" => {
-                opts.schedules = next("a count")?
-                    .parse()
-                    .map_err(|_| "bad --schedules".to_owned())?
-            }
-            "--max-faults" => {
-                opts.max_faults = next("a count")?
-                    .parse()
-                    .map_err(|_| "bad --max-faults".to_owned())?
-            }
-            "--threads" => {
-                opts.threads = next("a count")?
-                    .parse()
-                    .map_err(|_| "bad --threads".to_owned())?
-            }
-            "--mc-trials" => {
-                opts.mc_trials = next("a count")?
-                    .parse()
-                    .map_err(|_| "bad --mc-trials".to_owned())?
-            }
+            "--schedules" => opts.schedules = num(arg, next("a count")?)?,
+            "--max-faults" => opts.max_faults = num(arg, next("a count")?)?,
+            "--threads" => opts.threads = num(arg, next("a count")?)?,
+            "--mc-trials" => opts.mc_trials = num(arg, next("a count")?)?,
             "--out" => opts.out = Some(next("a file path")?),
-            "--compare" => opts.compare = Some(next("an old bench report")?),
+            "--compare" => opts.compare = Some(next("a baseline report")?),
             "--replay" => opts.replay = Some(next("a schedule file")?),
-            "--instances" => {
-                opts.instances = Some(
-                    next("a count")?
-                        .parse()
-                        .map_err(|_| "bad --instances".to_owned())?,
-                )
-            }
-            "--shards" => {
-                opts.shards = Some(
-                    next("a count")?
-                        .parse()
-                        .map_err(|_| "bad --shards".to_owned())?,
-                )
-            }
-            "--queue-bound" => {
-                opts.queue_bound = Some(
-                    next("a count")?
-                        .parse()
-                        .map_err(|_| "bad --queue-bound".to_owned())?,
-                )
-            }
-            "--budget" => {
-                opts.budget = Some(
-                    next("ticks")?
-                        .parse()
-                        .map_err(|_| "bad --budget".to_owned())?,
-                )
-            }
-            "--retries" => {
-                opts.retries = Some(
-                    next("a count")?
-                        .parse()
-                        .map_err(|_| "bad --retries".to_owned())?,
-                )
-            }
-            "--arrival-gap" => {
-                opts.arrival_gap = Some(
-                    next("ticks")?
-                        .parse()
-                        .map_err(|_| "bad --arrival-gap".to_owned())?,
-                )
-            }
+            "--instances" => opts.instances = Some(num(arg, next("a count")?)?),
+            "--shards" => opts.shards = Some(num(arg, next("a count")?)?),
+            "--queue-bound" => opts.queue_bound = Some(num(arg, next("a count")?)?),
+            "--budget" => opts.budget = Some(num(arg, next("ticks")?)?),
+            "--retries" => opts.retries = Some(num(arg, next("a count")?)?),
+            "--arrival-gap" => opts.arrival_gap = Some(num(arg, next("ticks")?)?),
             "--closed" => opts.closed = true,
             "--smoke" => opts.smoke = true,
             "--report" => opts.report = true,
             "--schedule" => opts.schedule = Some(next("a schedule file")?),
-            "--latency" => {
-                opts.latency = Some(
-                    next("ticks")?
-                        .parse()
-                        .map_err(|_| "bad --latency".to_owned())?,
-                )
-            }
-            "--p99-budget" => {
-                opts.p99_budget = next("a percentage")?
-                    .parse()
-                    .map_err(|_| "bad --p99-budget".to_owned())?
-            }
-            "--generations" => {
-                opts.generations = next("a count")?
-                    .parse()
-                    .map_err(|_| "bad --generations".to_owned())?
-            }
-            "--population" => {
-                opts.population = next("a count")?
-                    .parse()
-                    .map_err(|_| "bad --population".to_owned())?
-            }
+            "--latency" => opts.latency = Some(num(arg, next("ticks")?)?),
+            "--p99-budget" => opts.p99_budget = num(arg, next("a percentage")?)?,
+            "--generations" => opts.generations = num(arg, next("a count")?)?,
+            "--population" => opts.population = num(arg, next("a count")?)?,
+            "--list" => opts.list = true,
+            "--csv" => opts.csv = Some(next("a directory")?.into()),
+            id if takes_ids && !id.starts_with('-') => opts.ids.push(id.to_owned()),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
     Ok(opts)
 }
 
-fn build_run(graph: &Graph, opts: &Opts) -> Run {
+fn build_run(graph: &Graph, opts: &Opts) -> Result<Run, String> {
     let mut run = Run::good(graph, opts.rounds);
     if let Some(cut) = opts.cut {
         run.cut_from_round(Round::new(cut));
     }
     if let Some((from, to, round)) = opts.drop_link {
+        let m = graph.len();
+        if from as usize >= m || to as usize >= m {
+            return Err(format!(
+                "--drop-link {from}:{to}:{round} names a process outside the graph (m = {m})"
+            ));
+        }
         run.cut_link_from_round(ProcessId::new(from), ProcessId::new(to), Round::new(round));
     }
-    run
+    Ok(run)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
     let Some(command) = args.first().map(String::as_str) else {
-        eprintln!(
-            "usage: ca <levels|trace|simulate|exact|chaos|hunt|bench|profile|serve|sweep|graphs> \
-             [flags] (see --help)"
-        );
+        eprintln!("usage: ca <{}> [flags] (see --help)", names.join("|"));
         return ExitCode::FAILURE;
     };
     if command == "--help" || command == "-h" {
         println!(
-            "ca — explore the coordinated-attack model\n\
-             commands: levels, trace, simulate, exact, chaos, hunt, bench, profile, serve, \
-             sweep, graphs\n\
-             flags: --graph NAME --rounds N --epsilon E | --t T --cut R \
-             --drop-link F:T:R --trials K --seed S\n\
-             exact: [--sweep] [--out FILE] [--compare OLD.json] — one run's \
-             exact outcome distribution; with --sweep, the exhaustive worst \
-             case over ALL runs (every input subset × delivery pattern) via \
-             the level-vector DP, as byte-stable JSON: the full §8 curve at \
-             --rounds N is polynomial in N, where enumeration stops at \
-             2^24 executions; --compare fails on any drift from a baseline\n\
-             chaos: --deadline T --schedules K --max-faults F --threads W \
-             --mc-trials K --out FILE --replay FILE [--spans]\n\
-             hunt: [--generations G] [--population P] [--budget K] \
-             [--rounds N] [--t T] [--max-faults F] [--seed S] [--threads W] \
-             [--out FILE] [--replay FILE] [--compare OLD.json] [--spans] — \
-             adaptive adversary search for the paper's worst-case fault \
-             schedule; the report is byte-stable in (graph, config) at any \
-             --threads; --replay re-scores a saved schedule; --compare fails \
-             if the report drifted from a baseline\n\
-             bench: [--full] [--trials K] [--stable] [--out FILE] \
-             [--compare OLD.json] — time every experiment, write \
-             BENCH_experiments.json; --compare diffs against an old report \
-             and fails on a >25% throughput regression\n\
-             profile: [--full] [--trials K] [--threads W] [--timed] [--spans] \
-             [--out FILE] [--compare OLD.json] — capture engine counters, \
-             histograms, and span trees per experiment (byte-stable by \
-             default; --timed adds clocks); --compare fails if any stable \
-             counter drifted (needs an obs-enabled build)\n\
-             serve: [--smoke] [--instances N] [--shards N] [--queue-bound N] \
-             [--budget T] [--retries N] [--deadline T] [--t T] \
-             [--arrival-gap G | --closed] [--schedule FILE | --latency L] \
-             [--seed S] [--threads W] [--timed] [--report] [--out FILE] \
-             [--compare OLD.json] [--p99-budget PCT] — run a sharded \
-             coordination service (instances of async S over one courier) \
-             under load; the aggregate report is byte-stable in (scale, \
-             seed) at any --threads; --compare fails if stable counters \
-             drift or p99 decision latency regresses past the budget \
-             (default 25%)\n\
-             sweep: [--m N] [--trials K] [--seed S] [--threads W] \
-             [--out FILE] [--compare OLD.json] — topology × weak-adversary \
-             tradeoff frontiers on generated big graphs (grid, small world, \
-             scale free × iid and Gilbert–Elliott loss) via the sparse level \
-             frontier; byte-stable JSON on stdout (table on stderr) at any \
-             --threads; --compare fails on any drift from a baseline"
+            "ca — explore the coordinated-attack model\ncommands: {}\n{FLAGS_HELP}",
+            names.join(", ")
         );
+        for c in COMMANDS.iter().filter(|c| !c.help.is_empty()) {
+            println!("{}: {}", c.name, c.help);
+        }
         return ExitCode::SUCCESS;
     }
-    if command == "graphs" {
-        println!("k<m>  line<m>  ring<m>  star<m>  grid<r>x<c>  torus<r>x<c>  cube<d>");
-        return ExitCode::SUCCESS;
+    let result = match COMMANDS.iter().find(|c| c.name == command) {
+        Some(c) => parse_opts(&args[1..], c.name == "expt").and_then(|opts| {
+            let graph = parse_graph(&opts.graph)?;
+            let run = build_run(&graph, &opts)?;
+            (c.run)(&opts, &graph, &run)
+        }),
+        None => Err(format!("unknown command `{command}`")),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
-    let opts = match parse_opts(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let graph = match parse_graph(&opts.graph) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let run = build_run(&graph, &opts);
+}
 
-    match command {
-        "levels" => {
-            print!("{}", render_run(&run));
-            let l = levels(&run);
-            let ml = modified_levels(&run);
-            let mut table = Table::new(["process", "L_i(R)", "ML_i(R)"]);
-            for i in graph.vertices() {
-                table.push_row([
-                    i.to_string(),
-                    l.level(i).to_string(),
-                    ml.level(i).to_string(),
-                ]);
-            }
-            println!("\n{table}");
-            println!("L(R) = {}, ML(R) = {}", l.min_level(), ml.min_level());
-        }
-        "trace" => {
-            let proto = ProtocolS::new(opts.epsilon);
-            let mut rng = StdRng::seed_from_u64(opts.seed);
-            let tapes = TapeSet::random(&mut rng, graph.len(), 64);
-            let ex = execute(&proto, &graph, &run, &tapes);
-            print!("{}", render_trace(&graph, &run, &ex));
-        }
-        "simulate" => {
-            let proto = ProtocolS::new(opts.epsilon);
-            let report = simulate(
-                &proto,
-                &graph,
-                &FixedRun::new(run),
-                SimConfig::new(opts.trials, opts.seed),
-            );
-            println!("{report}");
-        }
-        "exact" => {
-            if opts.sweep {
-                // Exhaustive worst case over ALL runs via the level-vector
-                // DP, as byte-stable JSON: no clocks, interned-state order,
-                // exact rationals. `--compare` gates byte drift against a
-                // committed baseline.
-                let spec = ca_analysis::level_dp::DpSpec::protocol_s(opts.t);
-                let n = opts.rounds;
-                let mut checkpoints: Vec<u32> = [1, n / 4, n / 2, 3 * n / 4, n]
-                    .into_iter()
-                    .filter(|&c| c >= 1)
-                    .collect();
-                checkpoints.dedup();
-                let report = match ca_analysis::level_dp::sweep(&graph, n, &spec, &checkpoints) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let json = serde::json::to_string_pretty(&report)
-                    .expect("sweep reports are always serializable");
-                println!("{json}");
-                // Baseline is read before --out, like `ca bench --compare`.
-                let old: Option<ca_analysis::level_dp::SweepReport> = match &opts.compare {
-                    Some(path) => {
-                        let text = match std::fs::read_to_string(path) {
-                            Ok(t) => t,
-                            Err(e) => {
-                                eprintln!("error: cannot read `{path}`: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        };
-                        match serde::json::from_str(&text) {
-                            Ok(r) => Some(r),
-                            Err(e) => {
-                                eprintln!("error: bad sweep report in `{path}`: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                    None => None,
-                };
-                if let Some(path) = &opts.out {
-                    if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                        eprintln!("error: cannot write `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                if let Some(old) = old {
-                    if old != report {
-                        eprintln!(
-                            "error: exact sweep drifted from the baseline \
-                             (exact rationals disagree — not timer noise)"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("exact compare: byte-identical to the baseline");
-                }
-            } else {
-                let out = protocol_s_outcomes(&graph, &run, opts.t);
-                let ml = modified_levels(&run).min_level();
-                println!("ML(R) = {ml}, ε = 1/{}", opts.t);
-                println!(
-                    "Pr[TA|R] = {}   Pr[NA|R] = {}   Pr[PA|R] = {}",
-                    out.ta, out.na, out.pa
-                );
-            }
-        }
-        "bench" => {
-            let config = ca_bench::bench::BenchConfig {
-                full: opts.full,
-                trials: opts.bench_trials,
-                stable: opts.stable,
-            };
-            let report = ca_bench::bench::run_bench(&config);
-            let json = report.to_json_pretty();
-            println!("{json}");
-            // Read the baseline before --out runs, so comparing against the
-            // very file being refreshed still diffs the committed bytes.
-            let old: Option<ca_bench::bench::BenchReport> = match &opts.compare {
-                Some(path) => {
-                    let text = match std::fs::read_to_string(path) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            eprintln!("error: cannot read `{path}`: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    match serde::json::from_str(&text) {
-                        Ok(r) => Some(r),
-                        Err(e) => {
-                            eprintln!("error: bad bench report in `{path}`: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                None => None,
-            };
-            if let Some(path) = &opts.out {
-                if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                    eprintln!("error: cannot write `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(old) = old {
-                let cmp = ca_bench::bench::compare_reports(&old, &report);
-                print!("{cmp}");
-                let regressions = cmp.regressions();
-                if !regressions.is_empty() {
-                    eprintln!(
-                        "error: throughput regressed >{}% on: {}",
-                        ca_bench::bench::REGRESSION_THRESHOLD_PCT,
-                        regressions.join(", ")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        "profile" => {
-            if !ca_obs::ENABLED {
-                eprintln!(
-                    "error: this `ca` was built without observability; \
-                     rebuild with the default features (or `--features obs`) \
-                     to use `ca profile`"
-                );
-                return ExitCode::FAILURE;
-            }
-            if opts.threads > 0 {
-                // Pin the worker count process-wide (experiments size their
-                // own pools): profiles must be identical at any width, and
-                // this is how the golden test proves it.
-                std::env::set_var("CA_THREADS", opts.threads.to_string());
-            }
-            let config = ca_bench::profile::ProfileConfig {
-                full: opts.full,
-                trials: opts.bench_trials,
-                timed: opts.timed,
-            };
-            let profiled = ca_bench::profile::run_profile(&config);
-            let json = profiled.report.to_json_pretty();
-            println!("{json}");
-            if opts.spans {
-                // Human-readable dump on stderr, keeping stdout pure JSON.
-                eprint!("{}", ca_obs::render(&profiled.totals_snapshot, opts.timed));
-            }
-            // Baseline is read before --out, like `ca bench --compare`.
-            let old: Option<ca_bench::profile::ProfileReport> = match &opts.compare {
-                Some(path) => {
-                    let text = match std::fs::read_to_string(path) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            eprintln!("error: cannot read `{path}`: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    match serde::json::from_str(&text) {
-                        Ok(r) => Some(r),
-                        Err(e) => {
-                            eprintln!("error: bad profile report in `{path}`: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                None => None,
-            };
-            if let Some(path) = &opts.out {
-                if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                    eprintln!("error: cannot write `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(old) = old {
-                let cmp = ca_bench::profile::compare_profiles(&old, &profiled.report);
-                print!("{cmp}");
-                let changed = cmp.changed();
-                if !changed.is_empty() {
-                    eprintln!(
-                        "error: stable counters drifted from the baseline: {}",
-                        changed.join(", ")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        "serve" => {
-            // Base config: the fixed smoke preset (chaos schedule + open-loop
-            // overload) or a plain reliable closed-loop service sized by
-            // --graph. Explicit flags override either base.
-            let mut config = if opts.smoke {
-                ServeConfig::smoke(opts.seed)
-            } else {
-                ServeConfig::new(graph.len(), opts.t, 512, opts.seed)
-            };
-            if opts.smoke && opts.t_set {
-                config.t = opts.t;
-            }
-            if opts.deadline_set {
-                config.deadline = opts.deadline;
-            }
-            if let Some(v) = opts.instances {
-                config.instances = v;
-            }
-            if let Some(v) = opts.shards {
-                config.shards = v;
-            }
-            if let Some(v) = opts.queue_bound {
-                config.queue_bound = v;
-            }
-            if let Some(v) = opts.budget {
-                config.budget = v;
-            }
-            if let Some(v) = opts.retries {
-                config.retries = v;
-            }
-            match (opts.arrival_gap, opts.closed) {
-                (Some(_), true) => {
-                    eprintln!("error: --arrival-gap and --closed are mutually exclusive");
-                    return ExitCode::FAILURE;
-                }
-                (Some(gap), false) => config.arrival = Arrival::Open { mean_gap: gap },
-                (None, true) => config.arrival = Arrival::Closed,
-                (None, false) => {}
-            }
-            if opts.schedule.is_some() && opts.latency.is_some() {
-                eprintln!("error: --schedule and --latency are mutually exclusive");
-                return ExitCode::FAILURE;
-            }
-            if let Some(path) = &opts.schedule {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: cannot read `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let schedule = match FaultSchedule::from_json(&text) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: bad schedule in `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                config.courier = CourierSpec::Chaos { schedule };
-            } else if let Some(latency) = opts.latency {
-                config.courier = CourierSpec::Reliable { latency };
-            }
-            config.threads = opts.threads;
-            config.timed = opts.timed;
-            let report = match ca_async::run_serve(&config) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let json = report.to_json_pretty();
-            if opts.report {
-                // Pure JSON on stdout, like `ca profile`.
-                println!("{json}");
-            } else {
-                let t = &report.totals;
-                println!(
-                    "serve: {} instances over {} shards — {} decided, {} shed, \
-                     {} timed out, {} undecided, {} failed",
-                    t.instances,
-                    config.shards,
-                    t.decided,
-                    t.shed,
-                    t.timed_out,
-                    t.undecided,
-                    t.failed
-                );
-                println!(
-                    "verdicts: TA={} NA={} PA={}; retries={}, attempts={}",
-                    t.verdicts.total_attack,
-                    t.verdicts.no_attack,
-                    t.verdicts.partial_attack,
-                    t.retries,
-                    t.attempts
-                );
-                println!(
-                    "p99 decision latency <= {} ticks; virtual makespan {} ticks; \
-                     restarts={}, poisoned={}",
-                    t.p99_decision_ticks, t.virtual_makespan, t.shard_restarts, t.shards_poisoned
-                );
-                if opts.timed {
-                    println!(
-                        "wall: {} ms ({:.0} instances/sec)",
-                        t.wall_ms, t.instances_per_sec
-                    );
-                }
-            }
-            // Baseline is read before --out, like `ca bench --compare`.
-            let old: Option<ServeReport> = match &opts.compare {
-                Some(path) => {
-                    let text = match std::fs::read_to_string(path) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            eprintln!("error: cannot read `{path}`: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    match ServeReport::from_json(&text) {
-                        Ok(r) => Some(r),
-                        Err(e) => {
-                            eprintln!("error: bad serve report in `{path}`: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                None => None,
-            };
-            if let Some(path) = &opts.out {
-                if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                    eprintln!("error: cannot write `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(old) = old {
-                let problems = ca_async::compare_reports(&old, &report, opts.p99_budget);
-                if !problems.is_empty() {
-                    for p in &problems {
-                        eprintln!("  {p}");
-                    }
-                    eprintln!(
-                        "error: serve report regressed from the baseline \
-                         ({} problem(s))",
-                        problems.len()
-                    );
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("serve compare: stable counters match, p99 within budget");
-            }
-        }
-        "sweep" => {
-            // Big-graph scenario sweep: observed TA/PA/NA frontiers per
-            // topology × weak adversary, as byte-stable JSON (no clocks,
-            // integer tallies, per-trial seed streams). The human-readable
-            // table goes to stderr so stdout stays pure JSON.
-            let mut config = ca_analysis::ScenarioSweepConfig::default_at(
-                opts.m,
-                opts.bench_trials.unwrap_or(100),
-                opts.seed,
-            );
-            config.threads = opts.threads;
-            let report = match ca_analysis::run_sweep(&config) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let json = serde::json::to_string_pretty(&report)
-                .expect("sweep reports are always serializable");
-            println!("{json}");
-            eprintln!("{}", report.table());
-            // Baseline is read before --out, like `ca bench --compare`.
-            let old: Option<ca_analysis::ScenarioSweepReport> = match &opts.compare {
-                Some(path) => {
-                    let text = match std::fs::read_to_string(path) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            eprintln!("error: cannot read `{path}`: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    match serde::json::from_str(&text) {
-                        Ok(r) => Some(r),
-                        Err(e) => {
-                            eprintln!("error: bad sweep report in `{path}`: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                None => None,
-            };
-            if let Some(path) = &opts.out {
-                if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                    eprintln!("error: cannot write `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(old) = old {
-                if old != report {
-                    eprintln!(
-                        "error: scenario sweep drifted from the baseline \
-                         (integer tallies disagree — not timer noise)"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("sweep compare: byte-identical to the baseline");
-            }
-        }
-        "chaos" => {
-            let config = CampaignConfig {
-                schedules: opts.schedules,
-                seed: opts.seed,
-                deadline: opts.deadline,
-                t: opts.t,
-                max_faults: opts.max_faults,
-                threads: opts.threads,
-                mc_trials: opts.mc_trials,
-            };
-            let json = if let Some(path) = &opts.replay {
-                // Replay a saved (typically shrunk) schedule against the
-                // oracles instead of sampling a fresh campaign.
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: cannot read `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let schedule = match FaultSchedule::from_json(&text) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: bad schedule in `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let result = evaluate_schedule(&graph, &config, 0, schedule);
-                serde::json::to_string_pretty(&result)
-                    .expect("schedule results are always serializable")
-            } else {
-                run_campaign(&graph, &config).to_json_pretty()
-            };
-            println!("{json}");
-            if opts.spans {
-                if ca_obs::ENABLED {
-                    // Campaign metrics land in the global sink; dump the
-                    // span tree (with real clocks) on stderr.
-                    eprint!("{}", ca_obs::render(&ca_obs::global_snapshot(), true));
-                } else {
-                    eprintln!(
-                        "note: --spans needs an observability-enabled build \
-                         (the default `ca`); nothing was recorded"
-                    );
-                }
-            }
-            if let Some(path) = &opts.out {
-                if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                    eprintln!("error: cannot write `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        "hunt" => {
-            let mut config = ca_async::HuntConfig::quick(opts.seed);
-            config.generations = opts.generations;
-            config.population = opts.population.max(1);
-            if let Some(b) = opts.budget {
-                config.budget = b;
-            }
-            config.rounds = opts.rounds;
-            config.t = opts.t;
-            config.max_faults = opts.max_faults;
-            config.threads = opts.threads;
-            config.elites = (config.population / 6).max(2).min(config.population);
-            if let Some(path) = &opts.replay {
-                // Re-score a saved (typically shrunk) schedule instead of
-                // running a fresh search.
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: cannot read `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let schedule = match FaultSchedule::from_json(&text) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: bad schedule in `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let result = ca_async::replay_schedule(&graph, &config, schedule);
-                let json = serde::json::to_string_pretty(&result)
-                    .expect("candidate results are always serializable");
-                println!("{json}");
-                if let Some(path) = &opts.out {
-                    if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                        eprintln!("error: cannot write `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                return ExitCode::SUCCESS;
-            }
-            let report = ca_async::run_hunt(&graph, &config);
-            let json = report.to_json_pretty();
-            println!("{json}");
-            if opts.spans {
-                if ca_obs::ENABLED {
-                    eprint!("{}", ca_obs::render(&ca_obs::global_snapshot(), true));
-                } else {
-                    eprintln!(
-                        "note: --spans needs an observability-enabled build \
-                         (the default `ca`); nothing was recorded"
-                    );
-                }
-            }
-            // Baseline is read before --out, like `ca bench --compare`.
-            let old: Option<ca_async::HuntReport> = match &opts.compare {
-                Some(path) => {
-                    let text = match std::fs::read_to_string(path) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            eprintln!("error: cannot read `{path}`: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    match ca_async::HuntReport::from_json(&text) {
-                        Ok(r) => Some(r),
-                        Err(e) => {
-                            eprintln!("error: bad hunt report in `{path}`: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                None => None,
-            };
-            if let Some(path) = &opts.out {
-                if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                    eprintln!("error: cannot write `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(old) = old {
-                if !ca_async::hunt::reports_match(&report, &old) {
-                    eprintln!("error: hunt report regressed from the baseline (byte drift)");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("hunt compare: byte-identical modulo --threads");
-            }
-        }
-        other => {
-            eprintln!("error: unknown command `{other}`");
-            return ExitCode::FAILURE;
-        }
+// ---------------------------------------------------------------------------
+// The gate: one path from a finished report to stdout, `--out`, `--compare`.
+// ---------------------------------------------------------------------------
+
+/// A report `ca` prints, writes with `--out`, and gates with `--compare`.
+/// Each report is already free of threads and clocks when it is built, so
+/// the trait holds only what differs between reports: the noun in
+/// `bad … report` errors and the drift rule with its messages.
+trait GatedReport: Serialize + Deserialize {
+    /// The report's name in `bad … report in FILE` errors.
+    const NOUN: &'static str;
+
+    /// Applies the drift rule against `baseline`, printing any diff table
+    /// and the pass note; `Err` carries the failure message.
+    fn check(&self, baseline: &Self, opts: &Opts) -> Result<(), String>;
+}
+
+/// Pretty JSON, the byte form of every report.
+fn to_json<T: Serialize>(value: &T) -> String {
+    serde::json::to_string_pretty(value).expect("reports are always serializable")
+}
+
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+}
+
+/// `--out FILE`: writes the JSON with a trailing newline.
+fn write_out(opts: &Opts, json: &str) -> Result<(), String> {
+    match &opts.out {
+        Some(path) => std::fs::write(path, format!("{json}\n"))
+            .map_err(|e| format!("cannot write `{path}`: {e}")),
+        None => Ok(()),
     }
-    ExitCode::SUCCESS
+}
+
+fn read_schedule(path: &str) -> Result<FaultSchedule, String> {
+    FaultSchedule::from_json(&read_file(path)?)
+        .map_err(|e| format!("bad schedule in `{path}`: {e}"))
+}
+
+/// `--spans`: a human-readable metrics and span-tree dump on stderr, so
+/// stdout stays pure JSON.
+fn dump_spans(opts: &Opts, snapshot: &Snapshot, timed: bool) {
+    if !opts.spans {
+        return;
+    }
+    if ca_obs::ENABLED {
+        eprint!("{}", ca_obs::render(snapshot, timed));
+    } else {
+        eprintln!(
+            "note: --spans needs an observability-enabled build \
+             (the default `ca`); nothing was recorded"
+        );
+    }
+}
+
+/// Shows the report (`show` gets its JSON), then gates it. The `--compare`
+/// baseline is read *before* `--out` writes, so `--out F --compare F`
+/// still diffs against the bytes `F` held before this run.
+fn publish<R: GatedReport>(report: &R, opts: &Opts, show: impl FnOnce(&str)) -> Result<(), String> {
+    let json = to_json(report);
+    show(&json);
+    let baseline: Option<R> = match &opts.compare {
+        Some(path) => Some(
+            serde::json::from_str(&read_file(path)?)
+                .map_err(|e| format!("bad {} report in `{path}`: {e}", R::NOUN))?,
+        ),
+        None => None,
+    };
+    write_out(opts, &json)?;
+    match baseline {
+        Some(baseline) => report.check(&baseline, opts),
+        None => Ok(()),
+    }
+}
+
+/// The byte-equality drift rule of the exact and integer-only reports:
+/// any difference is a real change, never timer noise.
+fn byte_identical<R: Serialize>(new: &R, old: &R, pass: &str, fail: &str) -> Result<(), String> {
+    if to_json(new) != to_json(old) {
+        return Err(fail.to_owned());
+    }
+    eprintln!("{pass}");
+    Ok(())
+}
+
+impl GatedReport for BenchReport {
+    const NOUN: &'static str = "bench";
+
+    /// Fails on a throughput drop over the threshold; entries under the
+    /// wall-time floor report deltas but never gate.
+    fn check(&self, baseline: &Self, _: &Opts) -> Result<(), String> {
+        let cmp = bench::compare_reports(baseline, self);
+        print!("{cmp}");
+        let regressions = cmp.regressions();
+        if regressions.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "throughput regressed >{}% on: {}",
+            bench::REGRESSION_THRESHOLD_PCT,
+            regressions.join(", ")
+        ))
+    }
+}
+
+impl GatedReport for ProfileReport {
+    const NOUN: &'static str = "profile";
+
+    /// Fails unless every stable counter matches exactly.
+    fn check(&self, baseline: &Self, _: &Opts) -> Result<(), String> {
+        let cmp = profile::compare_profiles(baseline, self);
+        print!("{cmp}");
+        let changed = cmp.changed();
+        if changed.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "stable counters drifted from the baseline: {}",
+            changed.join(", ")
+        ))
+    }
+}
+
+impl GatedReport for ServeReport {
+    const NOUN: &'static str = "serve";
+
+    /// Fails unless the stable counters match and p99 stays in budget.
+    fn check(&self, baseline: &Self, opts: &Opts) -> Result<(), String> {
+        let problems = ca_async::compare_reports(baseline, self, opts.p99_budget);
+        if problems.is_empty() {
+            eprintln!("serve compare: stable counters match, p99 within budget");
+            return Ok(());
+        }
+        for p in &problems {
+            eprintln!("  {p}");
+        }
+        Err(format!(
+            "serve report regressed from the baseline ({} problem(s))",
+            problems.len()
+        ))
+    }
+}
+
+impl GatedReport for ScenarioSweepReport {
+    const NOUN: &'static str = "sweep";
+
+    fn check(&self, baseline: &Self, _: &Opts) -> Result<(), String> {
+        byte_identical(
+            self,
+            baseline,
+            "sweep compare: byte-identical to the baseline",
+            "scenario sweep drifted from the baseline \
+             (integer tallies disagree — not timer noise)",
+        )
+    }
+}
+
+impl GatedReport for SweepReport {
+    const NOUN: &'static str = "sweep";
+
+    fn check(&self, baseline: &Self, _: &Opts) -> Result<(), String> {
+        byte_identical(
+            self,
+            baseline,
+            "exact compare: byte-identical to the baseline",
+            "exact sweep drifted from the baseline \
+             (exact rationals disagree — not timer noise)",
+        )
+    }
+}
+
+impl GatedReport for HuntReport {
+    const NOUN: &'static str = "hunt";
+
+    fn check(&self, baseline: &Self, _: &Opts) -> Result<(), String> {
+        byte_identical(
+            self,
+            baseline,
+            "hunt compare: byte-identical modulo --threads",
+            "hunt report regressed from the baseline (byte drift)",
+        )
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Commands.
+// ---------------------------------------------------------------------------
+
+fn levels_cmd(_: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
+    print!("{}", render_run(run));
+    let l = levels(run);
+    let ml = modified_levels(run);
+    let mut table = Table::new(["process", "L_i(R)", "ML_i(R)"]);
+    for i in graph.vertices() {
+        table.push_row([
+            i.to_string(),
+            l.level(i).to_string(),
+            ml.level(i).to_string(),
+        ]);
+    }
+    println!("\n{table}");
+    println!("L(R) = {}, ML(R) = {}", l.min_level(), ml.min_level());
+    Ok(())
+}
+
+fn trace_cmd(opts: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
+    let proto = ProtocolS::new(opts.epsilon);
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let tapes = TapeSet::random(&mut rng, graph.len(), 64);
+    let ex = execute(&proto, graph, run, &tapes);
+    print!("{}", render_trace(graph, run, &ex));
+    Ok(())
+}
+
+fn simulate_cmd(opts: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
+    let report = simulate(
+        &ProtocolS::new(opts.epsilon),
+        graph,
+        &FixedRun::new(run.clone()),
+        SimConfig::new(opts.trials, opts.seed),
+    );
+    println!("{report}");
+    Ok(())
+}
+
+fn exact_cmd(opts: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
+    if !opts.sweep {
+        let out = protocol_s_outcomes(graph, run, opts.t);
+        let ml = modified_levels(run).min_level();
+        println!("ML(R) = {ml}, ε = 1/{}", opts.t);
+        println!(
+            "Pr[TA|R] = {}   Pr[NA|R] = {}   Pr[PA|R] = {}",
+            out.ta, out.na, out.pa
+        );
+        return Ok(());
+    }
+    // Exhaustive worst case over ALL runs via the level-vector DP, as
+    // byte-stable JSON: no clocks, interned-state order, exact rationals.
+    let n = opts.rounds;
+    let mut checkpoints: Vec<u32> = [1, n / 4, n / 2, 3 * n / 4, n]
+        .into_iter()
+        .filter(|&c| c >= 1)
+        .collect();
+    checkpoints.dedup();
+    let report = level_dp::sweep(graph, n, &DpSpec::protocol_s(opts.t), &checkpoints)
+        .map_err(|e| e.to_string())?;
+    publish(&report, opts, |json| println!("{json}"))
+}
+
+fn chaos_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
+    let config = CampaignConfig {
+        schedules: opts.schedules,
+        seed: opts.seed,
+        deadline: opts.deadline,
+        t: opts.t,
+        max_faults: opts.max_faults,
+        threads: opts.threads,
+        mc_trials: opts.mc_trials,
+    };
+    let json = match &opts.replay {
+        // Replay a saved (typically shrunk) schedule against the oracles
+        // instead of sampling a fresh campaign.
+        Some(path) => to_json(&evaluate_schedule(graph, &config, 0, read_schedule(path)?)),
+        None => to_json(&run_campaign(graph, &config)),
+    };
+    println!("{json}");
+    dump_spans(opts, &ca_obs::global_snapshot(), true);
+    write_out(opts, &json)
+}
+
+fn hunt_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
+    let mut config = HuntConfig::quick(opts.seed);
+    config.generations = opts.generations;
+    config.population = opts.population.max(1);
+    if let Some(b) = opts.budget {
+        config.budget = b;
+    }
+    config.rounds = opts.rounds;
+    config.t = opts.t;
+    config.max_faults = opts.max_faults;
+    config.threads = opts.threads;
+    config.elites = (config.population / 6).max(2).min(config.population);
+    if let Some(path) = &opts.replay {
+        // Re-score a saved (typically shrunk) schedule instead of running a
+        // fresh search.
+        let json = to_json(&ca_async::replay_schedule(
+            graph,
+            &config,
+            read_schedule(path)?,
+        ));
+        println!("{json}");
+        return write_out(opts, &json);
+    }
+    let report = ca_async::run_hunt(graph, &config);
+    publish(&report, opts, |json| {
+        println!("{json}");
+        dump_spans(opts, &ca_obs::global_snapshot(), true);
+    })
+}
+
+fn expt_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
+    let all = registry();
+    if opts.list {
+        for e in &all {
+            println!("{:4}  {}", e.id(), e.title());
+        }
+        return Ok(());
+    }
+    let chosen: Vec<&dyn Experiment> = if opts.ids.is_empty() {
+        all.iter().map(AsRef::as_ref).collect()
+    } else {
+        opts.ids
+            .iter()
+            .map(|id| {
+                all.iter()
+                    .find(|e| e.id().eq_ignore_ascii_case(id))
+                    .map(AsRef::as_ref)
+                    .ok_or_else(|| format!("unknown experiment id `{id}` (try --list)"))
+            })
+            .collect::<Result<_, _>>()?
+    };
+    let mut scale = Scale::resolve(opts.full, opts.bench_trials);
+    if opts.seed_set {
+        scale.seed = opts.seed;
+    }
+    println!(
+        "running {} experiment(s) at {} trials (seed {:#x})\n",
+        chosen.len(),
+        scale.trials,
+        scale.seed
+    );
+    if let Some(dir) = &opts.csv {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+
+    let mut summary = Vec::new();
+    for experiment in chosen {
+        if opts.spans {
+            ca_obs::reset_global();
+        }
+        let start = Instant::now();
+        let result = experiment.run_observed(scale);
+        let secs = start.elapsed().as_secs_f64();
+        println!("{result}");
+        println!("({secs:.1}s)\n");
+        if opts.spans {
+            eprintln!("-- {} engine metrics --", result.id);
+            dump_spans(opts, &ca_obs::global_snapshot(), true);
+            eprintln!();
+        }
+        if let Some(dir) = &opts.csv {
+            let path = dir.join(format!("{}.csv", result.id.to_lowercase()));
+            std::fs::write(&path, result.table.to_csv())
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        }
+        summary.push((result, secs));
+    }
+
+    println!("== summary ==");
+    for (result, secs) in &summary {
+        println!(
+            "{:4}  {}  {:5.1}s  {}",
+            result.id,
+            if result.passed { "PASS" } else { "FAIL" },
+            secs,
+            result.title
+        );
+    }
+    println!();
+    if summary.iter().all(|(result, _)| result.passed) {
+        println!("ALL EXPERIMENTS PASSED");
+        Ok(())
+    } else {
+        println!("SOME EXPERIMENTS FAILED");
+        Err("an experiment's paper-shape checks failed".to_owned())
+    }
+}
+
+fn bench_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
+    let report = bench::run_bench(&BenchConfig {
+        full: opts.full,
+        trials: opts.bench_trials,
+        stable: opts.stable,
+    });
+    publish(&report, opts, |json| println!("{json}"))
+}
+
+fn profile_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
+    if !ca_obs::ENABLED {
+        return Err("this `ca` was built without observability; \
+                    rebuild with the default features (or `--features obs`) \
+                    to use `ca profile`"
+            .to_owned());
+    }
+    if opts.threads > 0 {
+        // Pin the worker count process-wide (experiments size their own
+        // pools): profiles must be identical at any width, and this is how
+        // the golden test proves it.
+        std::env::set_var("CA_THREADS", opts.threads.to_string());
+    }
+    let profiled = profile::run_profile(&ProfileConfig {
+        full: opts.full,
+        trials: opts.bench_trials,
+        timed: opts.timed,
+    });
+    publish(&profiled.report, opts, |json| {
+        println!("{json}");
+        dump_spans(opts, &profiled.totals_snapshot, opts.timed);
+    })
+}
+
+fn serve_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
+    // Base config: the fixed smoke preset (chaos schedule + open-loop
+    // overload) or a plain reliable closed-loop service sized by --graph.
+    // Explicit flags override either base.
+    let mut config = if opts.smoke {
+        ServeConfig::smoke(opts.seed)
+    } else {
+        ServeConfig::new(graph.len(), opts.t, 512, opts.seed)
+    };
+    if opts.smoke && opts.t_set {
+        config.t = opts.t;
+    }
+    if opts.deadline_set {
+        config.deadline = opts.deadline;
+    }
+    if let Some(v) = opts.instances {
+        config.instances = v;
+    }
+    if let Some(v) = opts.shards {
+        config.shards = v;
+    }
+    if let Some(v) = opts.queue_bound {
+        config.queue_bound = v;
+    }
+    if let Some(v) = opts.budget {
+        config.budget = v;
+    }
+    if let Some(v) = opts.retries {
+        config.retries = v;
+    }
+    match (opts.arrival_gap, opts.closed) {
+        (Some(_), true) => return Err("--arrival-gap and --closed are mutually exclusive".into()),
+        (Some(gap), false) => config.arrival = Arrival::Open { mean_gap: gap },
+        (None, true) => config.arrival = Arrival::Closed,
+        (None, false) => {}
+    }
+    match (&opts.schedule, opts.latency) {
+        (Some(_), Some(_)) => return Err("--schedule and --latency are mutually exclusive".into()),
+        (Some(path), None) => {
+            config.courier = CourierSpec::Chaos {
+                schedule: read_schedule(path)?,
+            }
+        }
+        (None, Some(latency)) => config.courier = CourierSpec::Reliable { latency },
+        (None, None) => {}
+    }
+    config.threads = opts.threads;
+    config.timed = opts.timed;
+    let report = ca_async::run_serve(&config).map_err(|e| e.to_string())?;
+    publish(&report, opts, |json| {
+        if opts.report {
+            // Pure JSON on stdout, like `ca profile`.
+            println!("{json}");
+        } else {
+            print_serve_summary(&report.totals, config.shards, opts.timed);
+        }
+    })
+}
+
+fn print_serve_summary(t: &ServeTotals, shards: usize, timed: bool) {
+    println!(
+        "serve: {} instances over {} shards — {} decided, {} shed, \
+         {} timed out, {} undecided, {} failed",
+        t.instances, shards, t.decided, t.shed, t.timed_out, t.undecided, t.failed
+    );
+    println!(
+        "verdicts: TA={} NA={} PA={}; retries={}, attempts={}",
+        t.verdicts.total_attack,
+        t.verdicts.no_attack,
+        t.verdicts.partial_attack,
+        t.retries,
+        t.attempts
+    );
+    println!(
+        "p99 decision latency <= {} ticks; virtual makespan {} ticks; \
+         restarts={}, poisoned={}",
+        t.p99_decision_ticks, t.virtual_makespan, t.shard_restarts, t.shards_poisoned
+    );
+    if timed {
+        println!(
+            "wall: {} ms ({:.0} instances/sec)",
+            t.wall_ms, t.instances_per_sec
+        );
+    }
+}
+
+fn sweep_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
+    // Big-graph scenario sweep: observed TA/PA/NA frontiers per topology ×
+    // weak adversary, as byte-stable JSON (no clocks, integer tallies,
+    // per-trial seed streams). The human-readable table goes to stderr so
+    // stdout stays pure JSON.
+    let mut config =
+        ScenarioSweepConfig::default_at(opts.m, opts.bench_trials.unwrap_or(100), opts.seed);
+    config.threads = opts.threads;
+    let report = run_sweep(&config).map_err(|e| e.to_string())?;
+    publish(&report, opts, |json| {
+        println!("{json}");
+        eprintln!("{}", report.table());
+    })
+}
+
+fn graphs_cmd(_: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
+    println!("k<m>  line<m>  ring<m>  star<m>  grid<r>x<c>  torus<r>x<c>  cube<d>");
+    Ok(())
 }

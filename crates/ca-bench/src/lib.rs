@@ -1,36 +1,7 @@
-//! Benchmark support: the `ca bench` engine and shared fixtures for the
-//! Criterion benches.
+//! The engines behind the `ca` CLI's measured reports: `ca bench` timings
+//! and `ca profile` engine metrics.
 
 #![warn(missing_docs)]
 
 pub mod bench;
 pub mod profile;
-
-use ca_core::graph::Graph;
-use ca_core::run::Run;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Standard benchmark topologies: `(name, graph)`.
-pub fn bench_graphs() -> Vec<(&'static str, Graph)> {
-    vec![
-        ("K2", Graph::complete(2).expect("graph")),
-        ("K8", Graph::complete(8).expect("graph")),
-        ("K32", Graph::complete(32).expect("graph")),
-        ("ring32", Graph::ring(32).expect("graph")),
-        ("line32", Graph::line(32).expect("graph")),
-    ]
-}
-
-/// A reproducible random run over `graph` with the given keep rate.
-pub fn bench_run(graph: &Graph, n: u32, keep: f64, seed: u64) -> Run {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut run = Run::good(graph, n);
-    let slots: Vec<_> = run.messages().collect();
-    for s in slots {
-        if !rng.gen_bool(keep) {
-            run.remove_message(s.from, s.to, s.round);
-        }
-    }
-    run
-}

@@ -19,9 +19,9 @@
 //! timing, is the product. Zero-valued metrics are omitted, and the metric
 //! order is the fixed `ca-obs` registry order.
 
-use crate::bench::bench_registry;
 use ca_analysis::experiments::Scale;
 use ca_async::campaign::{run_campaign, CampaignConfig};
+use ca_async::experiments::registry;
 use ca_core::graph::Graph;
 use ca_obs::{CounterId, HistId, Snapshot, SpanId};
 use serde::{Deserialize, Serialize};
@@ -37,21 +37,6 @@ pub struct ProfileConfig {
     /// Keep real clock readings instead of zeroing them. Timed reports are
     /// machine-dependent and not byte-stable; stable counters are unchanged.
     pub timed: bool,
-}
-
-impl ProfileConfig {
-    /// The scale this configuration resolves to.
-    pub fn scale(&self) -> Scale {
-        let mut scale = if self.full {
-            Scale::full()
-        } else {
-            Scale::quick()
-        };
-        if let Some(trials) = self.trials {
-            scale.trials = trials;
-        }
-        scale
-    }
 }
 
 /// One named counter value (zero-valued counters are omitted).
@@ -267,10 +252,10 @@ fn profile_section<T>(
 /// Runs every registry experiment plus the fixed chaos campaign, capturing
 /// each section's observability snapshot.
 pub fn run_profile(config: &ProfileConfig) -> ProfileRun {
-    let scale = config.scale();
+    let scale = Scale::resolve(config.full, config.trials);
     let mut totals = Snapshot::new();
     let mut experiments = Vec::new();
-    for experiment in bench_registry() {
+    for experiment in registry() {
         let (mut section, snapshot, result) =
             profile_section(experiment.id(), config.timed, || {
                 experiment.run_observed(scale)

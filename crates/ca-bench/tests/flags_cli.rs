@@ -1,0 +1,54 @@
+//! Malformed numeric flags get a typed `error: …` and exit 1 — never a
+//! panic (exit 101), a saturated value, or a silently ignored setting.
+
+use std::process::{Command, Output};
+
+fn ca(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_ca"))
+        .args(args)
+        .output()
+        .expect("run ca")
+}
+
+#[test]
+fn malformed_numeric_flags_are_rejected() {
+    let cases: &[&[&str]] = &[
+        &["exact", "--t", "0"],
+        &["exact", "--epsilon", "-1"],
+        // 1/0 would saturate t to 2^64 − 1.
+        &["exact", "--epsilon", "0"],
+        &["exact", "--epsilon", "NaN"],
+        &["exact", "--epsilon", "inf"],
+        &["exact", "--epsilon", "1.5"],
+        &["simulate", "--t", "0"],
+        &["trace", "--t", "0"],
+        // Would turn every schedule into a caught worker panic.
+        &["chaos", "--t", "0", "--schedules", "2"],
+        // Processes outside K2 would be silently ignored.
+        &["levels", "--graph", "k2", "--drop-link", "0:5:1"],
+        &["levels", "--graph", "k2", "--drop-link", "5:0:1"],
+    ];
+    for args in cases {
+        let output = ca(args);
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(output.stdout.is_empty(), "{args:?} printed output");
+    }
+}
+
+#[test]
+fn boundary_values_are_accepted() {
+    for args in [
+        &["exact", "--epsilon", "1"][..],
+        &["exact", "--t", "1"],
+        &["levels", "--graph", "k3", "--drop-link", "0:2:1"],
+    ] {
+        let output = ca(args);
+        assert!(
+            output.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+}

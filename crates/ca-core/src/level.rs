@@ -19,8 +19,7 @@
 //!   rides. See DESIGN.md §11 for the frontier invariant.
 //! * [`levels`] / [`modified_levels`] — an `O(m²·N)` "gossip" dynamic program
 //!   that mirrors how the levels actually propagate, building the full
-//!   per-round table; the dense min-level variant survives as the
-//!   differential oracle behind [`dense_min_level_into`].
+//!   per-round table; it is the differential oracle for the frontier.
 //! * [`level_by_definition`] / [`modified_level_by_definition`] — a direct
 //!   memoized transcription of the recursive definition, used as a test
 //!   oracle.
@@ -172,16 +171,6 @@ fn ensure_two_processes(run: &Run) -> Result<(), CaError> {
 /// working vectors alive across trials instead of reallocating them.
 #[derive(Debug, Default)]
 pub struct LevelScratch {
-    // --- dense-oracle buffers (the legacy `O(m²)` DP behind
-    // `dense_min_level_into`, kept as the differential oracle) ---
-    valid: Vec<bool>,
-    heard_leader: Vec<bool>,
-    /// `heard[j * m + i]`: best level of `i` known (via flow) to `j`.
-    heard: Vec<u32>,
-    snap_heard: Vec<u32>,
-    snap_valid: Vec<bool>,
-    snap_leader: Vec<bool>,
-    // --- sparse frontier buffers (the counting-automaton hot path) ---
     /// `count[j]`: `j`'s current level (`heard[j][j]` in the dense view).
     count: Vec<u32>,
     /// `seen[j]`: processes `j` knows to be at `count[j]` (capacity `m`).
@@ -392,82 +381,6 @@ fn frontier_extremes<D: DeliverySource + ?Sized>(
         hi = hi.max(c);
     }
     (lo, hi)
-}
-
-/// The dense `O(m²)` gossip DP on flat scratch buffers, kept as the
-/// differential oracle for the sparse frontier (see
-/// `tests/sparse_level_differential.rs`). Not part of the supported API.
-#[doc(hidden)]
-pub fn dense_min_level_into(run: &Run, modified: bool, scratch: &mut LevelScratch) -> u32 {
-    gossip_min_level(run, modified, scratch)
-}
-
-/// The same gossip dynamic program as [`gossip_levels`], but on flat scratch
-/// buffers and keeping only the final per-process levels.
-fn gossip_min_level(run: &Run, modified: bool, s: &mut LevelScratch) -> u32 {
-    let m = run.process_count();
-    let n = run.horizon();
-    assert!(m >= 2, "levels are defined for m >= 2 (paper's model)");
-
-    s.valid.clear();
-    s.valid
-        .extend((0..m).map(|j| run.has_input(ProcessId::new(j as u32))));
-    s.heard_leader.clear();
-    s.heard_leader.resize(m, false);
-    s.heard_leader[ProcessId::LEADER.index()] = true;
-    s.heard.clear();
-    s.heard.resize(m * m, 0);
-
-    let base_holds = |valid_j: bool, heard_leader_j: bool| -> bool {
-        if modified {
-            valid_j && heard_leader_j
-        } else {
-            valid_j
-        }
-    };
-
-    for j in 0..m {
-        if base_holds(s.valid[j], s.heard_leader[j]) {
-            s.heard[j * m + j] = 1;
-        }
-    }
-
-    for r in Round::protocol_rounds(n) {
-        s.snap_heard.clear();
-        s.snap_heard.extend_from_slice(&s.heard);
-        s.snap_valid.clear();
-        s.snap_valid.extend_from_slice(&s.valid);
-        s.snap_leader.clear();
-        s.snap_leader.extend_from_slice(&s.heard_leader);
-        run.for_each_message_in_round(r, |slot| {
-            let (i, j) = (slot.from.index(), slot.to.index());
-            for k in 0..m {
-                if s.snap_heard[i * m + k] > s.heard[j * m + k] {
-                    s.heard[j * m + k] = s.snap_heard[i * m + k];
-                }
-            }
-            s.valid[j] |= s.snap_valid[i];
-            s.heard_leader[j] |= s.snap_leader[i];
-        });
-        for j in 0..m {
-            if base_holds(s.valid[j], s.heard_leader[j]) && s.heard[j * m + j] == 0 {
-                s.heard[j * m + j] = 1;
-            }
-            let min_other = (0..m)
-                .filter(|&i| i != j)
-                .map(|i| s.heard[j * m + i])
-                .min()
-                .expect("m >= 2");
-            if min_other >= 1 && min_other + 1 > s.heard[j * m + j] {
-                s.heard[j * m + j] = min_other + 1;
-            }
-        }
-    }
-
-    (0..m)
-        .map(|j| s.heard[j * m + j])
-        .min()
-        .expect("at least one process")
 }
 
 /// The gossip dynamic program shared by [`levels`] and [`modified_levels`].
@@ -934,11 +847,6 @@ mod tests {
                         extremes,
                         (table.min_level(), table.max_level()),
                         "extremes mismatch (modified={modified}) in {run:?}"
-                    );
-                    assert_eq!(
-                        extremes.0,
-                        dense_min_level_into(&run, modified, &mut scratch),
-                        "dense oracle mismatch (modified={modified}) in {run:?}"
                     );
                 }
             }

@@ -10,7 +10,7 @@
 use ca_core::graph::{generators, Graph};
 use ca_core::ids::ProcessId;
 use ca_core::level::{
-    dense_min_level_into, level_extremes_into, levels, min_level_into, min_modified_level_into,
+    level_extremes_into, levels, min_level_into, min_modified_level_into,
     modified_level_extremes_into, modified_levels, LevelScratch,
 };
 use ca_core::run::EdgeRun;
@@ -80,13 +80,10 @@ proptest! {
     fn frontier_minima_match_dense_dp(er in edge_run_strategy(4)) {
         let dense = er.to_run();
         let mut scratch = LevelScratch::new();
-        prop_assert_eq!(
-            min_level_into(&er, &mut scratch),
-            dense_min_level_into(&dense, false, &mut scratch)
-        );
+        prop_assert_eq!(min_level_into(&er, &mut scratch), levels(&dense).min_level());
         prop_assert_eq!(
             min_modified_level_into(&er, &mut scratch),
-            dense_min_level_into(&dense, true, &mut scratch)
+            modified_levels(&dense).min_level()
         );
     }
 

@@ -9,9 +9,9 @@
 //! message where S sends `Θ(m)` *bits*.
 //!
 //! This module exists as a designed-in ablation: the equivalence is proved
-//! by tests (same outputs on the same tapes and runs), and the bandwidth
-//! bench (`ca-bench/benches/ablation.rs`) quantifies what Figure 1's
-//! compression buys.
+//! by tests (same outputs on the same tapes and runs), and experiment X3
+//! (`ca expt x3`) quantifies what Figure 1's compression buys in bytes on
+//! the wire.
 
 use ca_core::ids::{ProcessId, Round};
 use ca_core::protocol::{Ctx, Protocol};

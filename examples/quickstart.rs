@@ -51,6 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("cut at r4:     liveness = {}", report.liveness());
     println!("               disagree = {}", report.disagreement());
     println!("\nthe worst the adversary can ever do to Protocol S is ε = 1/{t} disagreement —");
-    println!("but liveness costs rounds: certain attack needs N ≥ t = {t} (run the `expt` binary for the full tables)");
+    println!("but liveness costs rounds: certain attack needs N ≥ t = {t} (run `ca expt` for the full tables)");
     Ok(())
 }

@@ -32,8 +32,8 @@
 //! # Ok::<(), coordinated_attack::core::ModelError>(())
 //! ```
 //!
-//! See `examples/` for end-to-end scenarios and `crates/ca-bench/src/bin/expt.rs`
-//! for the experiment runner.
+//! See `examples/` for end-to-end scenarios, and run every experiment with
+//! `cargo run --release -p ca-bench --bin ca -- expt`.
 
 #![warn(missing_docs)]
 

@@ -1,19 +1,25 @@
-//! Integration test: the entire experiment suite (E1–E12) reproduces the
-//! paper's claims end to end through the public API.
+//! Integration test: the entire experiment suite (E1–E12 and the
+//! extensions X1–X7) reproduces the paper's claims end to end through the
+//! public API.
 //!
 //! Each experiment internally asserts the paper-shape checks (bounds hold,
 //! tightness where claimed, crossovers where predicted); this test runs the
-//! registry exactly the way the `expt` binary does.
+//! one registry that `ca expt` runs.
 
-use coordinated_attack::analysis::experiments::{run_all, Scale};
+use coordinated_attack::analysis::experiments::Scale;
+use coordinated_attack::asynchronous::experiments::registry;
+use coordinated_attack::sim::parallel_map;
 
 #[test]
 fn every_experiment_passes() {
     let scale = Scale::quick();
+    let registry = registry();
+    assert_eq!(registry.len(), 19, "E1–E12 and X1–X7");
     let mut failures = Vec::new();
     // The registry fans out across all cores; each experiment is a
     // deterministic function of `scale`, so results match a serial run.
-    for result in run_all(scale, 0) {
+    let results = parallel_map(registry.len(), 0, |k| registry[k].run_observed(scale));
+    for result in results {
         assert!(!result.table.is_empty(), "{} produced no table", result.id);
         assert!(
             !result.findings.is_empty(),
