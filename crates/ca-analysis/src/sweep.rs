@@ -121,9 +121,25 @@ impl ScenarioSweepConfig {
         if self.trials == 0 {
             return Err(CaError::malformed("sweep needs at least one trial"));
         }
+        for adversary in &self.adversaries {
+            adversary.validate()?;
+        }
+        // Every connected graph has at least two directed edges, so a slack
+        // past half the cap can never fit a cell.
+        if u64::from(self.horizon_slack) > MAX_CELL_SLOTS / 2 {
+            return Err(CaError::malformed(format!(
+                "horizon_slack {} exceeds the per-cell cap of {MAX_CELL_SLOTS} message slots",
+                self.horizon_slack
+            )));
+        }
         Ok(())
     }
 }
+
+/// The most message slots (directed edges × horizon) one cell may sample:
+/// each is one bit of the cell's [`EdgeRun`](ca_core::run::EdgeRun) and one
+/// coin per trial. The default atlas at `m = 2048` needs about 1.2 M.
+const MAX_CELL_SLOTS: u64 = 1 << 28;
 
 /// One point of a cell's tradeoff curve: outcome tallies at firing range `t`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -233,7 +249,18 @@ fn run_cell(
 ) -> Result<ScenarioCell, CaError> {
     let graph = topology.build().map_err(CaError::from)?;
     let stats = GraphStats::of(&graph);
-    let horizon = stats.diameter + config.horizon_slack;
+    let horizon = stats
+        .diameter
+        .checked_add(config.horizon_slack)
+        .ok_or_else(|| CaError::malformed("diameter + horizon_slack overflows u32"))?;
+    let slots = 2 * stats.edges as u64 * u64::from(horizon);
+    if slots > MAX_CELL_SLOTS {
+        return Err(CaError::malformed(format!(
+            "{} needs {slots} message slots (directed edges × horizon {horizon}), \
+             over the per-cell cap of {MAX_CELL_SLOTS}",
+            topology.name()
+        )));
+    }
     let weak = WeakAdversary::new(&graph, horizon, *adversary);
     let mut er = weak.edge_template();
     let mut scratch = LevelScratch::new();
@@ -295,7 +322,10 @@ fn run_cell(
 /// # Errors
 ///
 /// Returns an error if the config is degenerate (empty axes, zero trials or
-/// firing ranges) or a topology spec fails to build.
+/// firing ranges), a loss model is invalid (a probability outside `[0, 1]`
+/// or NaN, or a Gilbert–Elliott model with both transition rates zero), a
+/// topology spec fails to build, or a cell's horizon overflows `u32` or its
+/// slot count (directed edges × horizon) exceeds the per-cell cap of `2^28`.
 pub fn run_sweep(config: &ScenarioSweepConfig) -> Result<ScenarioSweepReport, CaError> {
     config.validate()?;
     let cells: Vec<(usize, usize)> = (0..config.topologies.len())
@@ -425,6 +455,71 @@ mod tests {
         let mut c = tiny_config();
         c.t_curve = vec![0];
         assert!(run_sweep(&c).is_err());
+    }
+
+    /// `run_sweep` on `c` fails with a malformed-config error mentioning
+    /// `needle` (before this check existed, each case panicked in a worker or
+    /// wrapped to a tiny horizon).
+    fn assert_malformed(c: &ScenarioSweepConfig, needle: &str) {
+        match run_sweep(c) {
+            Err(e @ CaError::MalformedConfig { .. }) => {
+                assert!(e.to_string().contains(needle), "{e}")
+            }
+            other => panic!("expected a malformed-config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_invalid_loss_models() {
+        for (model, needle) in [
+            (LossModel::Iid { p: 1.5 }, "p must be in [0,1]"),
+            (LossModel::Iid { p: -0.1 }, "p must be in [0,1]"),
+            (
+                LossModel::Iid { p: f64::NAN },
+                "p must be in [0,1], got NaN",
+            ),
+            (
+                LossModel::GilbertElliott {
+                    loss_good: 0.0,
+                    loss_bad: f64::NAN,
+                    good_to_bad: 0.1,
+                    bad_to_good: 0.1,
+                },
+                "loss_bad must be in [0,1]",
+            ),
+            (
+                LossModel::GilbertElliott {
+                    loss_good: 0.01,
+                    loss_bad: 0.5,
+                    good_to_bad: 0.0,
+                    bad_to_good: 0.0,
+                },
+                "nonzero transition rate",
+            ),
+        ] {
+            let mut c = tiny_config();
+            c.adversaries.push(model);
+            assert_malformed(&c, needle);
+        }
+    }
+
+    #[test]
+    fn rejects_a_horizon_that_overflows() {
+        // diameter + u32::MAX would overflow (a debug panic, a wrapped
+        // horizon in release).
+        let mut c = tiny_config();
+        c.horizon_slack = u32::MAX;
+        assert_malformed(&c, "horizon_slack");
+    }
+
+    #[test]
+    fn rejects_cells_over_the_slot_cap() {
+        // K64 has 4032 directed edges: a 2^17 slack passes the config check
+        // but the cell would need ~528 M slots.
+        let mut c = tiny_config();
+        c.topologies = vec![TopologySpec::Complete { m: 64 }];
+        c.horizon_slack = 1 << 17;
+        assert_malformed(&c, "k64 needs");
     }
 
     #[test]

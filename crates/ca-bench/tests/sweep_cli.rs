@@ -15,6 +15,11 @@ use std::process::Command;
 /// generated family and both adversaries produce nontrivial frontiers.
 const SMOKE: [&str; 6] = ["sweep", "--m", "96", "--trials", "40", "--seed"];
 
+/// The smoke report at seed 7, as `ca sweep --m 96 --trials 40 --seed 7
+/// --out FILE` writes it. Regenerate it only for an intended change to the
+/// generators, the samplers or the level frontier, and say why.
+const GOLDEN_SEED_7: &str = include_str!("golden/sweep_m96_trials40_seed7.json");
+
 fn ca_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ca"))
 }
@@ -60,6 +65,20 @@ fn sweep_report_is_byte_identical_across_thread_counts() {
     for out in [&out_1, &out_2, &out_8, &out_again] {
         let _ = std::fs::remove_file(out);
     }
+}
+
+#[test]
+fn sweep_report_matches_the_checked_in_golden() {
+    // Every other test here checks self-consistency, which a change that
+    // moves every frontier the same way would pass.
+    let out = tmp_path("golden");
+    let report = run_smoke("7", "2", &out);
+    let _ = std::fs::remove_file(&out);
+    assert!(
+        report == GOLDEN_SEED_7,
+        "ca sweep --m 96 --trials 40 --seed 7 drifted from \
+         tests/golden/sweep_m96_trials40_seed7.json"
+    );
 }
 
 #[test]

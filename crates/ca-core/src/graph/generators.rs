@@ -28,6 +28,7 @@ use crate::error::ModelError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// Retry budget for rejection loops (simplicity and connectivity): generous
 /// enough that sensible parameters never hit it, small enough that hopeless
@@ -128,6 +129,8 @@ pub fn watts_strogatz(m: usize, k: usize, beta: f64, seed: u64) -> Result<Graph,
     }
     check_m(m)?;
     let mut rng = StdRng::seed_from_u64(seed);
+    // An undirected edge as a set key.
+    let key = |a: u32, b: u32| (a.min(b), a.max(b));
     for _ in 0..MAX_ATTEMPTS {
         let mut edges = Vec::with_capacity(m * k / 2);
         for v in 0..m {
@@ -135,27 +138,32 @@ pub fn watts_strogatz(m: usize, k: usize, beta: f64, seed: u64) -> Result<Graph,
                 edges.push(((v as u32), ((v + j) % m) as u32));
             }
         }
-        let mut g = Graph::new(m, &edges)?;
+        // The current edge set, for membership only (never iterated, so the
+        // hasher's order cannot reach the output). The lattice has no
+        // duplicate edges (`k < m`) and a rewire only ever adds an absent
+        // edge, so the list stays duplicate-free and a rewired edge leaves
+        // the set outright.
+        let mut present: HashSet<(u32, u32)> = edges.iter().map(|&(a, b)| key(a, b)).collect();
         // Rewire pass in lattice-edge order: deterministic coin per edge.
-        for idx in 0..edges.len() {
+        for edge in edges.iter_mut() {
             if !rng.gen_bool(beta) {
                 continue;
             }
-            let (a, _) = edges[idx];
+            let (a, old) = *edge;
             // Uniform new endpoint, rejecting self-loops and existing edges.
             // Bounded retries: at k ≪ m a few draws almost always succeed;
             // giving up leaves the lattice edge in place (still a valid WS
             // sample, matching the standard "skip saturated" convention).
             for _ in 0..16 {
                 let b = rng.gen_range(0..m as u32);
-                let (pa, pb) = (crate::ids::ProcessId::new(a), crate::ids::ProcessId::new(b));
-                if b != a && !g.has_edge(pa, pb) {
-                    edges[idx] = (a, b);
-                    g = Graph::new(m, &edges)?;
+                if b != a && present.insert(key(a, b)) {
+                    present.remove(&key(a, old));
+                    *edge = (a, b);
                     break;
                 }
             }
         }
+        let g = Graph::new(m, &edges)?;
         if g.is_connected() {
             return Ok(g);
         }

@@ -364,15 +364,82 @@ impl Graph {
     }
 
     /// The diameter (longest shortest path), or `None` if disconnected.
+    ///
+    /// Equal to the maximum over every [`Graph::bfs_distances`], computed
+    /// as one all-sources BFS that advances 64 sources per `u64`.
     pub fn diameter(&self) -> Option<u32> {
+        // One pass per block of 64 · 64 sources keeps the per-vertex live
+        // mask in one word; `MAX_PROCESSES` graphs take a single pass.
         let mut best = 0;
-        for v in self.vertices() {
-            let dist = self.bfs_distances(v);
-            for d in dist {
-                best = best.max(d?);
-            }
+        for lo in (0..self.m).step_by(64 * 64) {
+            best = best.max(self.max_eccentricity(lo..self.m.min(lo + 64 * 64))?);
         }
         Some(best)
+    }
+
+    /// The largest eccentricity over `sources` (at most `64 · 64` of them),
+    /// or `None` if some vertex is unreachable from them.
+    ///
+    /// A level-synchronous BFS from all the sources at once, 64 per word:
+    /// word `k` of vertex `v` (at `k · m + v`, so neighbouring ids' words
+    /// share cache lines) holds sources `64k..64k + 63` of the range, a bit
+    /// of `reached` set once that source has reached `v` and of `front`
+    /// when it did so at the current depth. Each level ORs the
+    /// neighbours' `front` words into a vertex's next front, but only the
+    /// words its `live` mask marks as having gained bits in the level
+    /// before: on a long ring a vertex's front holds two sources, so an
+    /// unmasked pass would walk every word of every vertex to move them.
+    fn max_eccentricity(&self, sources: std::ops::Range<usize>) -> Option<u32> {
+        let (m, lo) = (self.m, sources.start);
+        let w = sources.len().div_ceil(64);
+        debug_assert!(w <= 64, "the live mask is one word");
+        let mut reached = vec![0u64; w * m];
+        let mut front = vec![0u64; w * m];
+        let mut next = vec![0u64; w * m];
+        let mut live = vec![0u64; m];
+        let mut next_live = vec![0u64; m];
+        for s in sources.clone() {
+            let (k, bit) = ((s - lo) / 64, 1u64 << ((s - lo) % 64));
+            reached[k * m + s] |= bit;
+            front[k * m + s] |= bit;
+            live[s] |= 1 << k;
+        }
+        let mut depth = 0;
+        loop {
+            let mut grew = false;
+            for (u, adj) in self.adj.iter().enumerate() {
+                // The words the neighbours' fronts gained, plus the words
+                // this vertex's next front still holds from two levels back
+                // (they read no bits and are overwritten with zero), in one
+                // pass with a branch-free body.
+                let mut words = adj
+                    .iter()
+                    .fold(next_live[u], |acc, v| acc | live[v.index()]);
+                let mut gained = 0;
+                while words != 0 {
+                    let k = words.trailing_zeros() as usize;
+                    words &= words - 1;
+                    let row = &front[k * m..(k + 1) * m];
+                    let heard = adj.iter().fold(0, |acc, v| acc | row[v.index()]);
+                    let fresh = heard & !reached[k * m + u];
+                    reached[k * m + u] |= fresh;
+                    next[k * m + u] = fresh;
+                    gained |= u64::from(fresh != 0) << k;
+                }
+                next_live[u] = gained;
+                grew |= gained != 0;
+            }
+            if !grew {
+                break;
+            }
+            depth += 1;
+            std::mem::swap(&mut front, &mut next);
+            std::mem::swap(&mut live, &mut next_live);
+        }
+        // Connected iff every source reached every vertex.
+        let tail = u64::MAX >> (w * 64 - sources.len());
+        let (body, last) = reached.split_at((w - 1) * m);
+        (body.iter().all(|&x| x == u64::MAX) && last.iter().all(|&x| x == tail)).then_some(depth)
     }
 
     /// The eccentricity of `v` (max distance to any vertex), or `None` if

@@ -46,7 +46,6 @@
 //! `|ML_i - ML_j| ≤ 1`) are asserted in this module's tests and again as
 //! property tests.
 
-use crate::bitset::BitSet;
 use crate::error::CaError;
 use crate::flow::FlowGraph;
 use crate::ids::{ProcessId, Round};
@@ -169,32 +168,54 @@ fn ensure_two_processes(run: &Run) -> Result<(), CaError> {
 /// The Monte Carlo engine asks for one number per trial — `min_i L_i(R)` —
 /// millions of times; a scratch threaded through the loop keeps the gossip
 /// working vectors alive across trials instead of reallocating them.
+///
+/// Layout (DESIGN.md §11): the per-process scalars sit in one packed
+/// `Node` array, and the seen-sets and round accumulators are flat
+/// `m × ⌈m/64⌉` word rows, so a delivered message is one row copy or OR.
 #[derive(Debug, Default)]
 pub struct LevelScratch {
-    /// `count[j]`: `j`'s current level (`heard[j][j]` in the dense view).
-    count: Vec<u32>,
-    /// `seen[j]`: processes `j` knows to be at `count[j]` (capacity `m`).
-    seen: Vec<BitSet>,
-    /// Has the input flowed to `j`?
-    fvalid: Vec<bool>,
-    /// Has the leader's round-0 state flowed to `j`?
-    ftoken: Vec<bool>,
-    /// Per-receiver round accumulators: highest sender count received …
-    rx_high: Vec<u32>,
-    /// … union of the seen-sets of senders at that highest count …
-    rx_seen: Vec<BitSet>,
-    /// … and the validity / leader-state bits that flowed in.
-    rx_valid: Vec<bool>,
-    rx_token: Vec<bool>,
-    /// Round stamp per receiver: `stamp[j] == stamp_cur` means `j`'s
-    /// accumulators are live this round (lazy reset, no per-round clear).
-    stamp: Vec<u32>,
+    /// One packed record per process.
+    nodes: Vec<Node>,
+    /// Row `j` (`words` words from `j · words`): the processes `j` knows to
+    /// be at `nodes[j].count`.
+    seen: Vec<u64>,
+    /// Row `j`: this round's union of the seen-rows of `j`'s senders at
+    /// `nodes[j].rx_high`.
+    rx: Vec<u64>,
+    /// Words per row, `⌈m/64⌉`.
+    words: usize,
+    /// Valid bits of a row's last word.
+    tail: u64,
     stamp_cur: u32,
     /// Receivers touched this round, in first-message order.
     touch: Vec<u32>,
     /// `m` the frontier buffers are currently sized for.
     cap: usize,
 }
+
+/// The frontier's per-process scalars, kept together so the sweep touches
+/// one cache line per receiver.
+#[derive(Clone, Copy, Debug, Default)]
+struct Node {
+    /// The process's current level (`heard[j][j]` in the dense view).
+    count: u32,
+    /// Highest sender count received this round.
+    rx_high: u32,
+    /// Round stamp: `stamp == stamp_cur` means the `rx_*` accumulators are
+    /// live this round (lazy reset, no per-round clear).
+    stamp: u32,
+    /// [`VALID`] / [`TOKEN`] and their per-round accumulators.
+    flags: u32,
+}
+
+/// The input has flowed to the process.
+const VALID: u32 = 1;
+/// The leader's round-0 state has flowed to the process.
+const TOKEN: u32 = 2;
+/// Accumulator bits, `VALID` / `TOKEN` shifted by [`RX_SHIFT`]: what flowed
+/// in this round.
+const RX_SHIFT: u32 = 2;
+const RX_FLAGS: u32 = (VALID | TOKEN) << RX_SHIFT;
 
 impl LevelScratch {
     /// An empty scratch; buffers grow on first use and are reused after.
@@ -278,97 +299,116 @@ fn frontier_extremes<D: DeliverySource + ?Sized>(
 
     if s.cap != m {
         s.cap = m;
-        s.count = vec![0; m];
-        s.seen = (0..m).map(|_| BitSet::new(m)).collect();
-        s.rx_seen = (0..m).map(|_| BitSet::new(m)).collect();
-        s.fvalid = vec![false; m];
-        s.ftoken = vec![false; m];
-        s.rx_high = vec![0; m];
-        s.rx_valid = vec![false; m];
-        s.rx_token = vec![false; m];
-        s.stamp = vec![0; m];
+        s.words = m.div_ceil(64);
+        s.tail = u64::MAX >> (s.words * 64 - m);
+        s.nodes = vec![Node::default(); m];
+        s.seen = vec![0; m * s.words];
+        s.rx = vec![0; m * s.words];
         s.stamp_cur = 0;
         s.touch = Vec::with_capacity(m);
     }
-
-    let base_holds = |valid: bool, token: bool| -> bool {
-        if modified {
-            valid && token
-        } else {
-            valid
-        }
+    let LevelScratch {
+        nodes,
+        seen,
+        rx,
+        words,
+        tail,
+        stamp_cur,
+        touch,
+        ..
+    } = s;
+    let (w, tail) = (*words, *tail);
+    // The base case: the input (and, for ML, the leader's round-0 state)
+    // has flowed in.
+    let base = if modified { VALID | TOKEN } else { VALID };
+    // Resets row `j` to `{j}`.
+    let singleton = |row: &mut [u64], j: usize| {
+        row.fill(0);
+        row[j / 64] = 1 << (j % 64);
     };
 
     // Round 0: inputs arrive; the leader holds its own round-0 state.
-    for j in 0..m {
-        s.fvalid[j] = run.has_input(ProcessId::new(j as u32));
-        s.ftoken[j] = j == ProcessId::LEADER.index();
-        s.seen[j].clear();
-        if base_holds(s.fvalid[j], s.ftoken[j]) {
-            s.count[j] = 1;
-            s.seen[j].insert(j);
+    for (j, node) in nodes.iter_mut().enumerate() {
+        let mut flags = 0;
+        if run.has_input(ProcessId::new(j as u32)) {
+            flags |= VALID;
+        }
+        if j == ProcessId::LEADER.index() {
+            flags |= TOKEN;
+        }
+        node.flags = flags;
+        let row = &mut seen[j * w..(j + 1) * w];
+        if flags & base == base {
+            node.count = 1;
+            singleton(row, j);
         } else {
-            s.count[j] = 0;
+            node.count = 0;
+            row.fill(0);
         }
     }
 
     for r in Round::protocol_rounds(n) {
         // Lazy accumulator reset: a fresh stamp invalidates every receiver's
         // accumulators at once. On wrap, hard-reset the stamps.
-        s.stamp_cur = s.stamp_cur.wrapping_add(1);
-        if s.stamp_cur == 0 {
-            s.stamp.iter_mut().for_each(|t| *t = 0);
-            s.stamp_cur = 1;
+        *stamp_cur = stamp_cur.wrapping_add(1);
+        if *stamp_cur == 0 {
+            nodes.iter_mut().for_each(|node| node.stamp = 0);
+            *stamp_cur = 1;
         }
-        let cur = s.stamp_cur;
-        s.touch.clear();
+        let cur = *stamp_cur;
+        touch.clear();
         // Sweep: senders' states are still end-of-previous-round values
-        // (writes happen only in the finalize pass), so no snapshot copies
-        // are needed.
+        // (writes happen only in the finalize pass, and the sweep writes
+        // only receiver accumulators), so no snapshot copies are needed.
         run.for_each_delivery_in_round(r, |from, to| {
             let (i, j) = (from.index(), to.index());
-            if s.stamp[j] != cur {
-                s.stamp[j] = cur;
-                s.touch.push(j as u32);
-                s.rx_valid[j] = false;
-                s.rx_token[j] = false;
-                s.rx_high[j] = 0;
+            let sender = nodes[i];
+            let node = &mut nodes[j];
+            if node.stamp != cur {
+                node.stamp = cur;
+                touch.push(j as u32);
+                node.flags &= !RX_FLAGS;
+                node.rx_high = 0;
             }
-            s.rx_valid[j] |= s.fvalid[i];
-            s.rx_token[j] |= s.ftoken[i];
-            let ci = s.count[i];
-            if ci > s.rx_high[j] {
-                s.rx_high[j] = ci;
-                s.rx_seen[j].clear();
-                s.rx_seen[j].union_with(&s.seen[i]);
-            } else if ci == s.rx_high[j] && ci > 0 {
-                s.rx_seen[j].union_with(&s.seen[i]);
+            node.flags |= (sender.flags & (VALID | TOKEN)) << RX_SHIFT;
+            let ci = sender.count;
+            if ci > node.rx_high {
+                node.rx_high = ci;
+                rx[j * w..(j + 1) * w].copy_from_slice(&seen[i * w..(i + 1) * w]);
+            } else if ci == node.rx_high && ci > 0 {
+                let dst = &mut rx[j * w..(j + 1) * w];
+                for (d, &x) in dst.iter_mut().zip(&seen[i * w..(i + 1) * w]) {
+                    *d |= x;
+                }
             }
         });
         // Finalize the touched receivers (untouched state cannot change:
         // levels only move when a message arrives — Lemma 5.1).
-        for idx in 0..s.touch.len() {
-            let j = s.touch[idx] as usize;
-            s.fvalid[j] |= s.rx_valid[j];
-            s.ftoken[j] |= s.rx_token[j];
-            if s.count[j] == 0 && base_holds(s.fvalid[j], s.ftoken[j]) {
-                s.count[j] = 1;
-                s.seen[j].clear();
-                s.seen[j].insert(j);
+        for &j in touch.iter() {
+            let j = j as usize;
+            let node = &mut nodes[j];
+            node.flags |= (node.flags & RX_FLAGS) >> RX_SHIFT;
+            let row = &mut seen[j * w..(j + 1) * w];
+            if node.count == 0 && node.flags & base == base {
+                node.count = 1;
+                singleton(row, j);
             }
-            if s.count[j] >= 1 && s.rx_high[j] >= s.count[j] {
-                if s.rx_high[j] > s.count[j] {
-                    s.count[j] = s.rx_high[j];
-                    s.seen[j].clear();
-                    s.seen[j].union_with(&s.rx_seen[j]);
-                    s.seen[j].insert(j);
+            if node.count >= 1 && node.rx_high >= node.count {
+                let acc = &rx[j * w..(j + 1) * w];
+                if node.rx_high > node.count {
+                    node.count = node.rx_high;
+                    row.copy_from_slice(acc);
+                    row[j / 64] |= 1 << (j % 64);
                 } else {
-                    s.seen[j].union_with(&s.rx_seen[j]);
+                    for (d, &x) in row.iter_mut().zip(acc) {
+                        *d |= x;
+                    }
                 }
-                if s.seen[j].is_full() {
-                    s.count[j] += 1;
-                    s.seen[j].clear();
-                    s.seen[j].insert(j);
+                // Full row: every word all ones, the last up to its `tail`.
+                let (last, body) = row.split_last().expect("m >= 2");
+                if *last == tail && body.iter().all(|&x| x == u64::MAX) {
+                    node.count += 1;
+                    singleton(row, j);
                 }
             }
         }
@@ -376,9 +416,9 @@ fn frontier_extremes<D: DeliverySource + ?Sized>(
 
     let mut lo = u32::MAX;
     let mut hi = 0;
-    for &c in &s.count[..m] {
-        lo = lo.min(c);
-        hi = hi.max(c);
+    for node in nodes.iter() {
+        lo = lo.min(node.count);
+        hi = hi.max(node.count);
     }
     (lo, hi)
 }

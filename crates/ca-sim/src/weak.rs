@@ -22,14 +22,20 @@
 //! initial channel state, then per round one loss coin and one transition
 //! coin (a fixed number of draws regardless of outcomes); it has no lane-mask
 //! form, so `sliced()` stays `None` and the engine takes the scalar path.
-//! `tests` pin the dense and edge-keyed paths against each other per seed.
+//! The iid arm evaluates its `gen_bool(p)` coins in an exact integer form,
+//! 64 slots per loss mask (see `coin_threshold`). `tests` pin the dense and
+//! edge-keyed paths against each other per seed, and the workspace's
+//! `tests/atlas_oracles.rs` pins the edge-keyed path against a `gen_bool`
+//! transcription of this contract.
 
 use crate::strategy::{RunSampler, SlicedSampler};
+use ca_core::error::CaError;
 use ca_core::graph::Graph;
 use ca_core::ids::Round;
 use ca_core::run::{EdgeRun, MsgSlot, Run};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A per-link message-loss model: the serializable recipe for one weak
 /// adversary (embedded in sweep configs and reports).
@@ -98,9 +104,21 @@ impl LossModel {
         }
     }
 
-    fn validate(&self) {
+    /// Checks that every probability lies in `[0, 1]` (NaN does not) and
+    /// that a Gilbert–Elliott model has a nonzero transition rate.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CaError::MalformedConfig`] naming the offending parameter.
+    pub fn validate(&self) -> Result<(), CaError> {
         let check = |name: &str, v: f64| {
-            assert!((0.0..=1.0).contains(&v), "{name} must be in [0,1], got {v}");
+            if (0.0..=1.0).contains(&v) {
+                Ok(())
+            } else {
+                Err(CaError::malformed(format!(
+                    "{name} must be in [0,1], got {v}"
+                )))
+            }
         };
         match *self {
             LossModel::Iid { p } => check("p", p),
@@ -110,14 +128,17 @@ impl LossModel {
                 good_to_bad,
                 bad_to_good,
             } => {
-                check("loss_good", loss_good);
-                check("loss_bad", loss_bad);
-                check("good_to_bad", good_to_bad);
-                check("bad_to_good", bad_to_good);
-                assert!(
-                    good_to_bad + bad_to_good > 0.0,
-                    "Gilbert-Elliott needs at least one nonzero transition rate"
-                );
+                check("loss_good", loss_good)?;
+                check("loss_bad", loss_bad)?;
+                check("good_to_bad", good_to_bad)?;
+                check("bad_to_good", bad_to_good)?;
+                if good_to_bad + bad_to_good > 0.0 {
+                    Ok(())
+                } else {
+                    Err(CaError::malformed(
+                        "Gilbert-Elliott needs at least one nonzero transition rate",
+                    ))
+                }
             }
         }
     }
@@ -132,8 +153,10 @@ impl LossModel {
 /// (edge-keyed path, used by the `ca sweep` engine at big `m`).
 #[derive(Clone, Debug)]
 pub struct WeakAdversary {
-    /// The dense good run (the `RunSampler` base).
-    base: Run,
+    /// The dense good run (the `RunSampler` base), built from `template` on
+    /// first dense use: the edge-keyed sweep never needs its `m²` bits per
+    /// round.
+    base: OnceLock<Run>,
     /// The edge-keyed good run (the template `edge_template` hands out).
     template: EdgeRun,
     model: LossModel,
@@ -148,12 +171,20 @@ impl WeakAdversary {
     /// Panics if any model probability is outside `[0, 1]`, or if a
     /// Gilbert–Elliott model has both transition rates zero.
     pub fn new(graph: &Graph, n: u32, model: LossModel) -> Self {
-        model.validate();
+        if let Err(e) = model.validate() {
+            panic!("{e}");
+        }
         WeakAdversary {
-            base: Run::good(graph, n),
+            base: OnceLock::new(),
             template: EdgeRun::good(graph, n),
             model,
         }
+    }
+
+    /// The dense good run, built on first use (`EdgeRun::to_run` of the
+    /// template equals `Run::good` of the graph).
+    fn base(&self) -> &Run {
+        self.base.get_or_init(|| self.template.to_run())
     }
 
     /// Shorthand for [`LossModel::Iid`].
@@ -217,12 +248,21 @@ impl WeakAdversary {
         let mut flipped = 0;
         match self.model {
             LossModel::Iid { p } => {
-                for e in 0..self.template.directed_edge_count() {
-                    for r in Round::protocol_rounds(n) {
-                        if rng.gen_bool(p) {
-                            destroy(e, r);
-                            flipped += 1;
-                        }
+                // Slot `s` is edge `s / n`, round `s % n + 1`: link-major.
+                // Up to 64 coins go into a loss mask before any destroy, and
+                // each is `gen_bool(p)` in integer form (see `coin_threshold`).
+                let threshold = coin_threshold(p);
+                let slots = self.template.directed_edge_count() * n as usize;
+                for start in (0..slots).step_by(64) {
+                    let mut lost = 0u64;
+                    for bit in 0..(slots - start).min(64) {
+                        lost |= u64::from((rng.next_u64() >> 11) < threshold) << bit;
+                    }
+                    while lost != 0 {
+                        let s = start + lost.trailing_zeros() as usize;
+                        lost &= lost - 1;
+                        destroy(s / n as usize, Round::new((s % n as usize) as u32 + 1));
+                        flipped += 1;
                     }
                 }
             }
@@ -262,19 +302,29 @@ impl WeakAdversary {
     }
 }
 
+/// The integer form of `gen_bool(p)`: for the vendored `rand`,
+/// `gen_bool(p)` is `k · 2⁻⁵³ < p` with `k = x >> 11` for the next word `x`,
+/// and `k · 2⁻⁵³ < p ⇔ k < p · 2⁵³ ⇔ k < ⌈p · 2⁵³⌉` because `k` is an
+/// integer and both scalings by `2⁵³` are exact in `f64`. So
+/// `(x >> 11) < coin_threshold(p)` is the same coin from the same word.
+fn coin_threshold(p: f64) -> u64 {
+    debug_assert!((0.0..=1.0).contains(&p), "validated probability");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 impl RunSampler for WeakAdversary {
     fn describe(&self) -> String {
         format!("weak({})", self.model.name())
     }
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Run {
-        let mut run = self.base.clone();
+        let mut run = self.base().clone();
         self.drop_into(&mut run, rng);
         run
     }
 
     fn sample_into<R: Rng + ?Sized>(&self, run: &mut Run, rng: &mut R) {
-        run.clone_from(&self.base);
+        run.clone_from(self.base());
         self.drop_into(run, rng);
     }
 
@@ -284,7 +334,7 @@ impl RunSampler for WeakAdversary {
         rng: &mut R,
         obs: &ca_obs::Metrics,
     ) {
-        run.clone_from(&self.base);
+        run.clone_from(self.base());
         let flipped = self.drop_into(run, rng);
         obs.inc(ca_obs::CounterId::RunSamples);
         obs.add(ca_obs::CounterId::RunSlotsFlipped, flipped);
@@ -299,7 +349,7 @@ impl RunSampler for WeakAdversary {
             // One gen_bool(p) per canonical slot of a good base — exactly the
             // IidDrop lane-mask contract.
             LossModel::Iid { p } => Some(SlicedSampler::IidDrop {
-                base: &self.base,
+                base: self.base(),
                 p,
             }),
             // The per-link Markov chain has no base-run-plus-lane-mask form;
@@ -359,7 +409,7 @@ mod tests {
                 assert_eq!(er.to_run(), run, "{} seed {seed}", weak.describe());
                 assert_eq!(
                     dropped as usize,
-                    weak.base.message_count() - run.message_count(),
+                    weak.base().message_count() - run.message_count(),
                     "flip count, seed {seed}"
                 );
             }
