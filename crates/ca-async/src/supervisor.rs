@@ -127,11 +127,9 @@ where
 
     let mut results: Vec<(Option<R>, u32, Option<String>)> = Vec::new();
     std::thread::scope(|scope| {
-        if let Some(window) = stall_warn {
+        let watchdog = stall_warn.map(|window| {
             let (progress, stalled_flags, done) = (&progress, &stalled_flags, &done);
             scope.spawn(move || {
-                // Poll fast enough to notice the run finishing promptly even
-                // under a long stall window.
                 let poll = (window / 4)
                     .max(Duration::from_millis(5))
                     .min(Duration::from_millis(50));
@@ -140,7 +138,9 @@ where
                     .map(|p| (p.ticks(), std::time::Instant::now()))
                     .collect();
                 while !done.load(Ordering::Relaxed) {
-                    std::thread::sleep(poll);
+                    // Unparked as soon as the shards finish, so the scope
+                    // never waits out a poll interval.
+                    std::thread::park_timeout(poll);
                     for (k, p) in progress.iter().enumerate() {
                         if !p.started.load(Ordering::Relaxed) || p.finished.load(Ordering::Relaxed)
                         {
@@ -161,8 +161,8 @@ where
                         }
                     }
                 }
-            });
-        }
+            })
+        });
 
         results = parallel_map(shards, threads, |shard| {
             progress[shard].started.store(true, Ordering::Relaxed);
@@ -190,6 +190,9 @@ where
             (result, restarts, last_panic)
         });
         done.store(true, Ordering::Relaxed);
+        if let Some(watchdog) = watchdog {
+            watchdog.thread().unpark();
+        }
     });
 
     let shards_out = results
@@ -292,6 +295,25 @@ mod tests {
         assert_eq!(out.shards[1].result, Some(1));
         assert!(out.stalled.contains(&0), "stalled: {:?}", out.stalled);
         assert!(!out.stalled.contains(&1));
+    }
+
+    #[test]
+    fn watchdog_releases_supervise_as_soon_as_shards_finish() {
+        // Regression: the watchdog slept out its poll interval (50 ms under
+        // a long window) after the last shard finished, and the scope
+        // joined it, so every supervised run took at least that long.
+        let fastest = (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                supervise(3, 2, 1, Some(Duration::from_secs(3600)), |shard, _, p| {
+                    p.tick();
+                    shard
+                });
+                start.elapsed()
+            })
+            .min()
+            .expect("five calls");
+        assert!(fastest < Duration::from_millis(25), "fastest {fastest:?}");
     }
 
     #[test]

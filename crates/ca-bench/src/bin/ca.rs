@@ -722,14 +722,17 @@ fn chaos_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
         threads: opts.threads,
         mc_trials: opts.mc_trials,
     };
-    let json = match &opts.replay {
+    let (json, snapshot) = match &opts.replay {
         // Replay a saved (typically shrunk) schedule against the oracles
         // instead of sampling a fresh campaign.
-        Some(path) => to_json(&evaluate_schedule(graph, &config, 0, read_schedule(path)?)),
-        None => to_json(&run_campaign(graph, &config)),
+        Some(path) => {
+            let schedule = read_schedule(path)?;
+            ca_obs::capture(|| to_json(&evaluate_schedule(graph, &config, 0, schedule)))
+        }
+        None => ca_obs::capture(|| to_json(&run_campaign(graph, &config))),
     };
     println!("{json}");
-    dump_spans(opts, &ca_obs::global_snapshot(), true);
+    dump_spans(opts, &snapshot, true);
     write_out(opts, &json)
 }
 
@@ -756,10 +759,10 @@ fn hunt_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
         println!("{json}");
         return write_out(opts, &json);
     }
-    let report = ca_async::run_hunt(graph, &config);
+    let (report, snapshot) = ca_obs::capture(|| ca_async::run_hunt(graph, &config));
     publish(&report, opts, |json| {
         println!("{json}");
-        dump_spans(opts, &ca_obs::global_snapshot(), true);
+        dump_spans(opts, &snapshot, true);
     })
 }
 
@@ -801,17 +804,14 @@ fn expt_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
 
     let mut summary = Vec::new();
     for experiment in chosen {
-        if opts.spans {
-            ca_obs::reset_global();
-        }
         let start = Instant::now();
-        let result = experiment.run_observed(scale);
+        let (result, snapshot) = ca_obs::capture(|| experiment.run_observed(scale));
         let secs = start.elapsed().as_secs_f64();
         println!("{result}");
         println!("({secs:.1}s)\n");
         if opts.spans {
             eprintln!("-- {} engine metrics --", result.id);
-            dump_spans(opts, &ca_obs::global_snapshot(), true);
+            dump_spans(opts, &snapshot, true);
             eprintln!();
         }
         if let Some(dir) = &opts.csv {

@@ -2,8 +2,8 @@
 //!
 //! Where `ca bench` answers "how long does each experiment take", `ca
 //! profile` answers "what did the engine *do*": for every registry
-//! experiment (and one fixed chaos campaign) it resets the global `ca-obs`
-//! sink, runs the workload, and captures the merged counters, histograms,
+//! experiment (and one fixed chaos campaign) it runs the workload inside
+//! its own [`ca_obs::capture`] and reports the merged counters, histograms,
 //! and span tree — messages delivered vs. destroyed, runs sampled, tape
 //! bits drawn, faults injected per primitive, shrink iterations, and so on.
 //!
@@ -228,19 +228,16 @@ fn chaos_workload(seed: u64) -> (Graph, CampaignConfig) {
     (graph, config)
 }
 
-/// Profiles one workload section: resets the global sink, runs `work`, and
-/// captures what it recorded. Sections run serially, so a section's snapshot
-/// contains that workload's metrics and nothing else.
+/// Profiles one workload section: runs `work` inside its own capture, so the
+/// section's snapshot holds that workload's metrics and nothing else.
 fn profile_section<T>(
     id: &str,
     timed: bool,
     work: impl FnOnce() -> T,
 ) -> (SectionProfile, Snapshot, T) {
-    ca_obs::reset_global();
     let start = Instant::now();
-    let result = work();
+    let (result, snapshot) = ca_obs::capture(work);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let snapshot = ca_obs::global_snapshot();
     let section = SectionProfile {
         id: id.to_owned(),
         wall_ms: if timed { wall_ms } else { 0.0 },

@@ -13,9 +13,13 @@
 //! 2. **No locks, no `dyn` on the fast path.** A `Metrics` value is a
 //!    per-worker struct of `Cell`s, mirroring the one-RNG-per-worker scheme
 //!    of the Monte Carlo engine: each worker owns one and merges it into
-//!    the process-wide [`Snapshot`] sink exactly once, at join
-//!    ([`Metrics::flush`]). The only lock in the crate guards that merge.
-//! 3. **Static registry.** Every metric is a compile-time enum variant
+//!    its caller's [`capture`] exactly once, at join ([`Metrics::flush`]).
+//!    The only lock in the crate guards that merge.
+//! 3. **No process-global state.** A caller owns its sink: [`capture`]
+//!    runs a closure and returns the [`Snapshot`] of every handle built
+//!    inside it, and a fan-out carries the capture into its workers with
+//!    [`Capture`]. Concurrent captures never see each other's metrics.
+//! 4. **Static registry.** Every metric is a compile-time enum variant
 //!    ([`CounterId`], [`HistId`], [`SpanId`]) so recording is an array
 //!    index and reports have a fixed, byte-stable order.
 //!
@@ -36,7 +40,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
 
 /// Whether the instrumentation layer was compiled in.
 ///
@@ -597,21 +602,59 @@ impl Default for Snapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Global sink (always compiled; never on the fast path)
+// Captures (always compiled; never on the fast path)
 // ---------------------------------------------------------------------------
 
-static GLOBAL: Mutex<Snapshot> = Mutex::new(Snapshot::ZERO);
+type Sink = Arc<Mutex<Snapshot>>;
 
-/// Zeroes the process-wide sink. Profilers call this before a workload
-/// section, then read the section's totals with [`global_snapshot`].
-pub fn reset_global() {
-    *GLOBAL.lock().expect("observability sink poisoned") = Snapshot::ZERO;
+thread_local! {
+    static CURRENT: RefCell<Option<Sink>> = const { RefCell::new(None) };
 }
 
-/// A copy of the process-wide sink: everything flushed since the last
-/// [`reset_global`].
-pub fn global_snapshot() -> Snapshot {
-    GLOBAL.lock().expect("observability sink poisoned").clone()
+/// Runs `f` with a fresh sink and returns what it recorded.
+///
+/// Every [`Metrics`] handle built while `f` runs, on this thread or on a
+/// worker that carries this capture (see [`Capture`]), flushes into the
+/// returned snapshot. A handle stays bound to the capture it was built in,
+/// wherever and whenever it flushes; a handle built outside any capture
+/// discards its flushes.
+///
+/// Captures nest: a capture opened inside another keeps what is recorded
+/// inside it, and the enclosing capture does not see those metrics.
+///
+/// With the `enabled` feature off nothing records, and the snapshot is
+/// empty.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
+    let sink = Sink::default();
+    let value = Capture(Some(Arc::clone(&sink))).install(f);
+    let snapshot = sink.lock().expect("observability sink poisoned").clone();
+    (value, snapshot)
+}
+
+/// The capture a thread records into, as a value a fan-out hands to its
+/// workers: read it once with [`Capture::current`] on the calling thread,
+/// then [`Capture::install`] it on each worker.
+#[derive(Debug)]
+pub struct Capture(Option<Sink>);
+
+impl Capture {
+    /// The calling thread's capture (none outside any [`capture`]).
+    pub fn current() -> Capture {
+        Capture(CURRENT.with(|c| c.borrow().clone()))
+    }
+
+    /// Runs `f` with this capture as the calling thread's, then restores
+    /// the thread's previous capture, also when `f` panics.
+    pub fn install<T>(&self, f: impl FnOnce() -> T) -> T {
+        struct Restore(Option<Sink>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                CURRENT.with(|c| *c.borrow_mut() = self.0.take());
+            }
+        }
+        let _restore = Restore(CURRENT.with(|c| c.replace(self.0.clone())));
+        f()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -644,6 +687,7 @@ mod handle {
         counters: [Cell<u64>; CounterId::COUNT],
         hists: [HistCells; HistId::COUNT],
         spans: [SpanCells; SpanId::COUNT],
+        sink: Option<Sink>,
     }
 
     impl std::fmt::Debug for Metrics {
@@ -653,7 +697,8 @@ mod handle {
     }
 
     impl Metrics {
-        /// A fresh all-zero sink.
+        /// A fresh all-zero sink, bound to the calling thread's
+        /// [`capture`] (if any).
         pub fn new() -> Self {
             Metrics {
                 counters: std::array::from_fn(|_| Cell::new(0)),
@@ -668,6 +713,7 @@ mod handle {
                     count: Cell::new(0),
                     total_ns: Cell::new(0),
                 }),
+                sink: Capture::current().0,
             }
         }
 
@@ -707,9 +753,9 @@ mod handle {
             }
         }
 
-        /// Merges this sink into the process-wide snapshot and zeroes it,
-        /// so a worker can flush exactly once at join without double
-        /// counting on reuse.
+        /// Merges this sink into the capture it was built in (or discards
+        /// it, outside any capture) and zeroes it, so a worker can flush
+        /// exactly once at join without double counting on reuse.
         pub fn flush(&self) {
             let mut delta = Snapshot::ZERO;
             for (a, b) in delta.counters.iter_mut().zip(&self.counters) {
@@ -728,10 +774,11 @@ mod handle {
                 a.count = b.count.replace(0);
                 a.total_ns = b.total_ns.replace(0);
             }
-            GLOBAL
-                .lock()
-                .expect("observability sink poisoned")
-                .merge(&delta);
+            if let Some(sink) = &self.sink {
+                sink.lock()
+                    .expect("observability sink poisoned")
+                    .merge(&delta);
+            }
         }
     }
 
@@ -944,22 +991,20 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn record_flush_and_merge_roundtrip() {
-        // One test exercises the whole global path to avoid cross-test
-        // interference on the process-wide sink.
-        reset_global();
-        let m = Metrics::new();
-        m.inc(CounterId::SimTrials);
-        m.add(CounterId::ExecTransitions, 41);
-        m.inc(CounterId::ExecTransitions);
-        m.record(HistId::SimTrialMl, 3);
-        m.record(HistId::SimTrialMl, 5);
-        {
-            let _g = m.span(SpanId::SimTrial);
-        }
-        m.flush();
-        // Flushing zeroes the local sink: a second flush adds nothing.
-        m.flush();
-        let snap = global_snapshot();
+        let ((), snap) = capture(|| {
+            let m = Metrics::new();
+            m.inc(CounterId::SimTrials);
+            m.add(CounterId::ExecTransitions, 41);
+            m.inc(CounterId::ExecTransitions);
+            m.record(HistId::SimTrialMl, 3);
+            m.record(HistId::SimTrialMl, 5);
+            {
+                let _g = m.span(SpanId::SimTrial);
+            }
+            m.flush();
+            // Flushing zeroes the local sink: a second flush adds nothing.
+            m.flush();
+        });
         assert_eq!(snap.counter(CounterId::SimTrials), 1);
         assert_eq!(snap.counter(CounterId::ExecTransitions), 42);
         let ml = snap.hist(HistId::SimTrialMl);
@@ -978,23 +1023,96 @@ mod tests {
         assert_eq!(doubled.hist(HistId::SimTrialMl).count, 4);
         assert_eq!(doubled.hist(HistId::SimTrialMl).min, 3);
 
-        reset_global();
-        assert!(global_snapshot().is_empty());
+        // A fresh capture starts empty.
+        assert!(capture(|| ()).1.is_empty());
+    }
+
+    /// Records `n` trials on a fresh handle and flushes it.
+    #[cfg(feature = "enabled")]
+    fn record_trials(n: u64) {
+        let m = Metrics::new();
+        m.add(CounterId::SimTrials, n);
+        m.flush();
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn concurrent_captures_see_only_their_own_counters() {
+        // Both captures are open while both threads record and flush: a
+        // shared sink would hand each the other's trials.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let threads: Vec<_> = [3u64, 40]
+            .into_iter()
+            .map(|n| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    capture(|| {
+                        barrier.wait();
+                        record_trials(n);
+                        barrier.wait();
+                    })
+                    .1
+                })
+            })
+            .collect();
+        for (thread, n) in threads.into_iter().zip([3u64, 40]) {
+            let snap = thread.join().expect("capture thread");
+            assert_eq!(snap.counter(CounterId::SimTrials), n);
+        }
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn handles_flush_into_the_capture_they_were_built_in() {
+        // Built outside any capture: the flush is dropped, even inside one.
+        let outside = Metrics::new();
+        outside.inc(CounterId::SimTrials);
+        assert!(capture(|| outside.flush()).1.is_empty());
+
+        // A nested capture keeps its own metrics; the enclosing one does
+        // not see them.
+        let ((), outer) = capture(|| {
+            record_trials(1);
+            let ((), inner) = capture(|| record_trials(10));
+            assert_eq!(inner.counter(CounterId::SimTrials), 10);
+        });
+        assert_eq!(outer.counter(CounterId::SimTrials), 1);
+
+        // Flushed after its capture ended, a handle still goes to that
+        // capture, not to the one open at the flush.
+        let ((), outer) = capture(|| {
+            let (late, _) = capture(Metrics::new);
+            late.inc(CounterId::SimTrials);
+            late.flush();
+        });
+        assert!(outer.is_empty());
+
+        // Flushed on another thread, it still reaches its capture.
+        let ((), snap) = capture(|| {
+            let moved = Metrics::new();
+            moved.inc(CounterId::SimTrials);
+            std::thread::spawn(move || moved.flush())
+                .join()
+                .expect("flush thread");
+        });
+        assert_eq!(snap.counter(CounterId::SimTrials), 1);
     }
 
     #[cfg(not(feature = "enabled"))]
     #[test]
     fn disabled_handle_is_zero_sized_and_inert() {
         assert_eq!(std::mem::size_of::<Metrics>(), 0);
-        let m = Metrics::new();
-        m.inc(CounterId::SimTrials);
-        m.record(HistId::SimTrialMl, 3);
-        {
-            let _g = m.span(SpanId::SimTrial);
-        }
-        m.flush();
-        assert!(global_snapshot().is_empty());
-        assert!(!ENABLED);
+        let ((), snap) = capture(|| {
+            let m = Metrics::new();
+            m.inc(CounterId::SimTrials);
+            m.record(HistId::SimTrialMl, 3);
+            {
+                let _g = m.span(SpanId::SimTrial);
+            }
+            m.flush();
+        });
+        assert!(snap.is_empty());
+        const { assert!(!ENABLED) };
     }
 
     #[test]

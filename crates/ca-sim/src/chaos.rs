@@ -9,11 +9,16 @@
 //!   every per-fault decision inside one) is a pure function of
 //!   `(base seed, index)`, independent of thread scheduling.
 //! * [`parallel_map`] — a deterministic parallel map: results come back in
-//!   input order regardless of which worker computed them.
+//!   input order regardless of which worker computed them. It is the
+//!   workspace's one compute fan-out: Monte Carlo, sweeps, enumeration,
+//!   chaos campaigns, hunts and serve shards all spawn their workers
+//!   through it, and it carries the caller's [`ca_obs::capture`] into
+//!   every worker.
 //! * [`ddmin`] — Zeller-style delta debugging over an item list, used to
 //!   strip a violating schedule down to the faults that matter.
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// SplitMix64: derives a well-mixed child seed from `(seed, index)`.
 ///
@@ -57,7 +62,9 @@ pub fn resolve_workers(requested: usize) -> usize {
 ///
 /// Work is handed out by a shared counter, but the output slot is fixed by
 /// the index, so the result is identical to the serial map whenever `f` is a
-/// pure function of its index.
+/// pure function of its index. Every worker records into the caller's
+/// [`ca_obs::capture`], so metrics recorded in `f` reach the caller
+/// whichever thread ran it.
 ///
 /// # Panics
 ///
@@ -70,24 +77,26 @@ where
     let workers = resolve_workers(workers).min(count.max(1));
 
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..count).map(|_| None).collect());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
+    let next = AtomicUsize::new(0);
+    let capture = ca_obs::Capture::current();
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            let (results, next, f) = (&results, &next, &f);
-            scope.spawn(move |_| loop {
-                let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if k >= count {
-                    break;
-                }
-                let r = f(k);
-                results.lock()[k] = Some(r);
+            scope.spawn(|| {
+                capture.install(|| loop {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if k >= count {
+                        break;
+                    }
+                    let r = f(k);
+                    results.lock().expect("results lock poisoned")[k] = Some(r);
+                })
             });
         }
-    })
-    .expect("chaos worker panicked");
+    });
 
     results
         .into_inner()
+        .expect("results lock poisoned")
         .into_iter()
         .map(|r| r.expect("every index computed"))
         .collect()
@@ -165,6 +174,24 @@ mod tests {
         assert_eq!(serial, parallel);
         assert_eq!(serial[6], 36);
         assert_eq!(parallel_map::<usize, _>(0, 4, |k| k), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn workers_record_into_the_callers_capture() {
+        use ca_obs::CounterId::SimTrials;
+        let tally = |workers| {
+            let (_, snap) = ca_obs::capture(|| {
+                parallel_map(37, workers, |k| {
+                    let obs = ca_obs::Metrics::new();
+                    obs.add(SimTrials, k as u64);
+                    obs.flush();
+                })
+            });
+            snap.counter(SimTrials)
+        };
+        let serial = if ca_obs::ENABLED { (0..37).sum() } else { 0 };
+        assert_eq!(tally(1), serial);
+        assert_eq!(tally(4), serial);
     }
 
     #[test]

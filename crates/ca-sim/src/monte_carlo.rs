@@ -17,6 +17,7 @@
 //! iid-drop samplers. [`simulate`] picks the sliced path whenever it
 //! applies; differential tests pin the two paths to each other.
 
+use crate::chaos::parallel_map;
 use crate::stats::{BernoulliEstimate, RunningStats};
 use crate::strategy::{RunSampler, SlicedSampler};
 use ca_core::error::CaError;
@@ -28,7 +29,6 @@ use ca_core::outcome::{Outcome, OutcomeCounts};
 use ca_core::protocol::Protocol;
 use ca_core::run::Run;
 use ca_core::tape::TapeSet;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -50,6 +50,25 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    /// An empty report over `m` processes.
+    fn empty(m: usize) -> SimReport {
+        SimReport {
+            counts: OutcomeCounts::new(),
+            attacks: vec![0; m],
+            trials: 0,
+            ml: RunningStats::new(),
+        }
+    }
+
+    /// Merges per-worker reports over `m` processes in worker order.
+    fn merged(m: usize, parts: &[SimReport]) -> SimReport {
+        let mut report = SimReport::empty(m);
+        for part in parts {
+            report.merge(part);
+        }
+        report
+    }
+
     /// Empirical liveness `Pr[TA]`.
     pub fn liveness(&self) -> BernoulliEstimate {
         BernoulliEstimate::new(self.counts.total_attack, self.trials)
@@ -220,13 +239,7 @@ where
     S: RunSampler,
 {
     let m = graph.len();
-    let workers = config.worker_count().max(1);
-    let report = Mutex::new(SimReport {
-        counts: OutcomeCounts::new(),
-        attacks: vec![0; m],
-        trials: 0,
-        ml: RunningStats::new(),
-    });
+    let workers = config.worker_count();
 
     // The whole-call span lives on its own sink so its count is 1 per
     // `simulate` call (a stable number), never 1 per worker (which would
@@ -234,91 +247,81 @@ where
     let outer_obs = ca_obs::Metrics::new();
     let outer_span = outer_obs.span(ca_obs::SpanId::SimSimulate);
 
-    // Static partition of the trial indices across workers; per-trial
-    // reseeding keeps the result independent of the partitioning. Each
-    // worker owns one RNG, one tape set, and one execution scratch for its
-    // whole trial range — the per-trial loop allocates nothing beyond what
-    // the sampler itself requires.
-    crossbeam::thread::scope(|scope| {
-        for w in 0..workers {
-            let report = &report;
-            scope.spawn(move |_| {
-                use ca_obs::{CounterId, HistId, SpanId};
-                // Per-worker observability sink, merged into the global
-                // snapshot at join — same discipline as `local` below, so
-                // the fast path records into plain `Cell`s.
-                let obs = ca_obs::Metrics::new();
-                let mut local = SimReport {
-                    counts: OutcomeCounts::new(),
-                    attacks: vec![0; m],
-                    trials: 0,
-                    ml: RunningStats::new(),
-                };
-                // For a fixed-run sampler the run (and hence ML(R)) is the
-                // same every trial, and sampling consumes no randomness: use
-                // the run by reference and compute ML once.
-                let fixed_run = sampler.fixed_run();
-                let fixed_ml = fixed_run.map(|r| modified_levels(r).min_level() as f64);
-                let j_bits = protocol.tape_bits().max(1);
-                let mut tapes = TapeSet::empty(m);
-                let mut scratch = ExecScratch::new();
-                // One scratch run per worker: randomized samplers refill it
-                // in place (`sample_into`), so the per-trial loop performs no
-                // run allocation at all once the buffers have warmed up.
-                let mut sampled = Run::empty(0, 0);
-                let mut level_scratch = LevelScratch::new();
-                let mut rng;
-                let mut t = w as u64;
-                while t < config.trials {
-                    let _trial_span = obs.span(SpanId::SimTrial);
-                    // One worker-local RNG, reseeded per trial from the
-                    // SplitMix stream: trial t's draws are a function of
-                    // (seed, t) alone, whatever worker runs it.
-                    rng = StdRng::seed_from_u64(splitmix(config.seed, t));
-                    let run: &Run = match fixed_run {
-                        Some(run) => {
-                            obs.inc(CounterId::SimFixedRunTrials);
-                            run
-                        }
-                        None => {
-                            let _sample_span = obs.span(SpanId::RunSample);
-                            sampler.sample_into_observed(&mut sampled, &mut rng, &obs);
-                            &sampled
-                        }
-                    };
-                    tapes.fill_random(&mut rng, j_bits);
-                    obs.inc(CounterId::SimTapeRefills);
-                    let outputs =
-                        execute_outputs_observed(protocol, graph, run, &tapes, &mut scratch, &obs);
-                    let verdict_span = obs.span(SpanId::SimVerdict);
-                    let outcome = Outcome::classify(outputs);
-                    local.counts.record(outcome);
-                    for (i, &o) in outputs.iter().enumerate() {
-                        if o {
-                            local.attacks[i] += 1;
-                        }
-                    }
-                    let ml = match fixed_ml {
-                        Some(ml) => ml,
-                        None => min_modified_level_into(run, &mut level_scratch) as f64,
-                    };
-                    drop(verdict_span);
-                    local.ml.record(ml);
-                    obs.record(HistId::SimTrialMl, ml as u64);
-                    obs.inc(CounterId::SimTrials);
-                    local.trials += 1;
-                    t += workers as u64;
+    // Static partition of the trial indices across workers: worker `w` runs
+    // trials `t ≡ w (mod workers)`, and per-trial reseeding keeps the result
+    // independent of the partitioning. Each worker owns one RNG, one tape
+    // set, and one execution scratch for its whole trial range — the
+    // per-trial loop allocates nothing beyond what the sampler itself
+    // requires.
+    let parts = parallel_map(workers, workers, |w| {
+        use ca_obs::{CounterId, HistId, SpanId};
+        // Per-worker observability sink, flushed into the caller's capture
+        // at the end — same discipline as `local` below, so the fast path
+        // records into plain `Cell`s.
+        let obs = ca_obs::Metrics::new();
+        let mut local = SimReport::empty(m);
+        // For a fixed-run sampler the run (and hence ML(R)) is the same
+        // every trial, and sampling consumes no randomness: use the run by
+        // reference and compute ML once.
+        let fixed_run = sampler.fixed_run();
+        let fixed_ml = fixed_run.map(|r| modified_levels(r).min_level() as f64);
+        let j_bits = protocol.tape_bits().max(1);
+        let mut tapes = TapeSet::empty(m);
+        let mut scratch = ExecScratch::new();
+        // One scratch run per worker: randomized samplers refill it in place
+        // (`sample_into`), so the per-trial loop performs no run allocation
+        // at all once the buffers have warmed up.
+        let mut sampled = Run::empty(0, 0);
+        let mut level_scratch = LevelScratch::new();
+        let mut rng;
+        let mut t = w as u64;
+        while t < config.trials {
+            let _trial_span = obs.span(SpanId::SimTrial);
+            // One worker-local RNG, reseeded per trial from the SplitMix
+            // stream: trial t's draws are a function of (seed, t) alone,
+            // whatever worker runs it.
+            rng = StdRng::seed_from_u64(splitmix(config.seed, t));
+            let run: &Run = match fixed_run {
+                Some(run) => {
+                    obs.inc(CounterId::SimFixedRunTrials);
+                    run
                 }
-                obs.flush();
-                report.lock().merge(&local);
-            });
+                None => {
+                    let _sample_span = obs.span(SpanId::RunSample);
+                    sampler.sample_into_observed(&mut sampled, &mut rng, &obs);
+                    &sampled
+                }
+            };
+            tapes.fill_random(&mut rng, j_bits);
+            obs.inc(CounterId::SimTapeRefills);
+            let outputs =
+                execute_outputs_observed(protocol, graph, run, &tapes, &mut scratch, &obs);
+            let verdict_span = obs.span(SpanId::SimVerdict);
+            let outcome = Outcome::classify(outputs);
+            local.counts.record(outcome);
+            for (i, &o) in outputs.iter().enumerate() {
+                if o {
+                    local.attacks[i] += 1;
+                }
+            }
+            let ml = match fixed_ml {
+                Some(ml) => ml,
+                None => min_modified_level_into(run, &mut level_scratch) as f64,
+            };
+            drop(verdict_span);
+            local.ml.record(ml);
+            obs.record(HistId::SimTrialMl, ml as u64);
+            obs.inc(CounterId::SimTrials);
+            local.trials += 1;
+            t += workers as u64;
         }
-    })
-    .expect("simulation worker panicked");
+        obs.flush();
+        local
+    });
 
     drop(outer_span);
     outer_obs.flush();
-    report.into_inner()
+    SimReport::merged(m, &parts)
 }
 
 /// The bit-sliced 64-lane Monte Carlo path: packs trials into 64-wide lane
@@ -368,16 +371,11 @@ where
 
     let m = graph.len();
     let n = base.horizon();
-    let workers = config.worker_count().max(1);
-    let report = Mutex::new(SimReport {
-        counts: OutcomeCounts::new(),
-        attacks: vec![0; m],
-        trials: 0,
-        ml: RunningStats::new(),
-    });
+    let workers = config.worker_count();
 
     // Same discipline as the scalar path: the whole-call span on its own
-    // sink, one `Metrics` + one local report per worker, merged at join.
+    // sink, one `Metrics` + one local report per worker, merged in worker
+    // order.
     let outer_obs = ca_obs::Metrics::new();
     let outer_span = outer_obs.span(ca_obs::SpanId::SimSimulate);
 
@@ -386,154 +384,142 @@ where
     // adversary destroyed (mirrors the scalar engine's accounting).
     let edge_slots = (graph.edge_count() as u64) * 2 * u64::from(n);
 
-    crossbeam::thread::scope(|scope| {
-        for w in 0..workers {
-            let report = &report;
-            scope.spawn(move |_| {
-                use ca_obs::{CounterId, HistId, SpanId};
-                let obs = ca_obs::Metrics::new();
-                let mut local = SimReport {
-                    counts: OutcomeCounts::new(),
-                    attacks: vec![0; m],
-                    trials: 0,
-                    ml: RunningStats::new(),
-                };
-                let mut engine =
-                    SlicedEngine::new(base, spec).expect("instance validated before spawning");
-                let slot_count = engine.slot_count();
-                // Slots each lane kept (= messages delivered in its trial).
-                let mut kept_lanes = [0u64; LANES];
-                let mut rng;
-                let mut g = w as u64;
-                while g < groups {
-                    // One `sim.trial` span per 64-trial group: span counts
-                    // measure engine passes, counters keep counting trials.
-                    let _group_span = obs.span(SpanId::SimTrial);
-                    obs.inc(CounterId::SimSlicedGroups);
-                    let first = g * LANES as u64;
-                    let active = (config.trials - first).min(LANES as u64) as usize;
-                    engine.begin_group();
-                    // One `run.sample` span per group (the per-trial counters
-                    // still count trials); per-lane counter ticks accumulate
-                    // locally and post once per group — a span pair and
-                    // several sink writes per trial would otherwise rival the
-                    // sliced engine's own per-trial cost.
-                    let sample_span = obs.span(SpanId::RunSample);
-                    let mut flipped_total = 0u64;
-                    for (lane, kept) in kept_lanes.iter_mut().take(active).enumerate() {
-                        let t = first + lane as u64;
-                        rng = StdRng::seed_from_u64(splitmix(config.seed, t));
-                        match sliced {
-                            SlicedSampler::Fixed(_) => {
-                                *kept = slot_count as u64;
-                            }
-                            SlicedSampler::IidDrop { p, .. } => {
-                                let mut flipped = 0u64;
-                                for slot in 0..slot_count {
-                                    if rng.gen_bool(p) {
-                                        engine.destroy_slot_lane(slot, lane);
-                                        flipped += 1;
-                                    }
-                                }
-                                flipped_total += flipped;
-                                *kept = slot_count as u64 - flipped;
+    let parts = parallel_map(workers, workers, |w| {
+        use ca_obs::{CounterId, HistId, SpanId};
+        let obs = ca_obs::Metrics::new();
+        let mut local = SimReport::empty(m);
+        let mut engine = SlicedEngine::new(base, spec).expect("instance validated before spawning");
+        let slot_count = engine.slot_count();
+        // Slots each lane kept (= messages delivered in its trial).
+        let mut kept_lanes = [0u64; LANES];
+        let mut rng;
+        let mut g = w as u64;
+        while g < groups {
+            // One `sim.trial` span per 64-trial group: span counts
+            // measure engine passes, counters keep counting trials.
+            let _group_span = obs.span(SpanId::SimTrial);
+            obs.inc(CounterId::SimSlicedGroups);
+            let first = g * LANES as u64;
+            let active = (config.trials - first).min(LANES as u64) as usize;
+            engine.begin_group();
+            // One `run.sample` span per group (the per-trial counters
+            // still count trials); per-lane counter ticks accumulate
+            // locally and post once per group — a span pair and
+            // several sink writes per trial would otherwise rival the
+            // sliced engine's own per-trial cost.
+            let sample_span = obs.span(SpanId::RunSample);
+            let mut flipped_total = 0u64;
+            for (lane, kept) in kept_lanes.iter_mut().take(active).enumerate() {
+                let t = first + lane as u64;
+                rng = StdRng::seed_from_u64(splitmix(config.seed, t));
+                match sliced {
+                    SlicedSampler::Fixed(_) => {
+                        *kept = slot_count as u64;
+                    }
+                    SlicedSampler::IidDrop { p, .. } => {
+                        let mut flipped = 0u64;
+                        for slot in 0..slot_count {
+                            if rng.gen_bool(p) {
+                                engine.destroy_slot_lane(slot, lane);
+                                flipped += 1;
                             }
                         }
-                        if let SlicedSpec::RandomFire {
-                            offset, t: width, ..
-                        } = spec
-                        {
-                            // The leader's rfire draw. The scalar path does
-                            // `TapeSet::fill_random_leader` and then reads
-                            // `draw_unit()` = (first tape word + 1) / 2⁶⁴;
-                            // the first tape word is exactly the next
-                            // `rng.gen::<u64>()` of the fill, and the
-                            // per-trial RNG is discarded right after, so
-                            // drawing that one word here yields a rfire
-                            // bit-identical to the scalar trial's.
-                            let word = rng.gen::<u64>();
-                            let unit = (word as f64 + 1.0) / 18_446_744_073_709_551_616.0; // 2^64
-                            engine.set_rfire(lane, offset + width * unit);
-                        }
+                        flipped_total += flipped;
+                        *kept = slot_count as u64 - flipped;
                     }
-                    match sliced {
-                        SlicedSampler::Fixed(_) => {
-                            obs.add(CounterId::SimFixedRunTrials, active as u64);
-                        }
-                        SlicedSampler::IidDrop { .. } => {
-                            obs.add(CounterId::RunSamples, active as u64);
-                            obs.add(CounterId::RunSlotsFlipped, flipped_total);
-                        }
-                    }
-                    if matches!(spec, SlicedSpec::RandomFire { .. }) {
-                        obs.add(CounterId::SimTapeRefills, active as u64);
-                    }
-                    drop(sample_span);
-                    let out = {
-                        let _exec_span = obs.span(SpanId::ExecExecute);
-                        engine.run_group()
-                    };
-                    // Aggregate execution counters over the group; per-trial
-                    // sums match the scalar engine's per-trial adds.
-                    let kept_total: u64 = kept_lanes[..active].iter().sum();
-                    obs.add(
-                        CounterId::ExecTransitions,
-                        (m as u64) * u64::from(n) * active as u64,
-                    );
-                    obs.add(CounterId::ExecMessagesDelivered, kept_total);
-                    obs.add(
-                        CounterId::ExecMessagesDestroyed,
-                        edge_slots * active as u64 - kept_total,
-                    );
-                    if matches!(spec, SlicedSpec::RandomFire { .. }) {
-                        // Only the leader consumes tape bits (64 per trial).
-                        obs.add(CounterId::ExecTapeBitsConsumed, 64 * active as u64);
-                    }
-                    let verdict_span = obs.span(SpanId::SimVerdict);
-                    // Tally the packed outputs: a trial is a total attack iff
-                    // its lane is set in every process's attack word, a
-                    // no-attack iff set in none.
-                    let live: u64 = if active == LANES {
-                        !0
-                    } else {
-                        (1u64 << active) - 1
-                    };
-                    let mut ta = live;
-                    let mut na = live;
-                    for (i, &attack) in out.attack.iter().enumerate() {
-                        ta &= attack;
-                        na &= !attack;
-                        local.attacks[i] += u64::from((attack & live).count_ones());
-                    }
-                    let ta = u64::from(ta.count_ones());
-                    let na = u64::from(na.count_ones());
-                    local.counts.total_attack += ta;
-                    local.counts.no_attack += na;
-                    local.counts.partial_attack += active as u64 - ta - na;
-                    for (lane, &kept) in kept_lanes.iter().take(active).enumerate() {
-                        // Lemma 6.4: the minimum final count is the run's
-                        // minimum modified level, which is what the scalar
-                        // path records per trial.
-                        let ml = f64::from(out.min_count[lane]);
-                        local.ml.record(ml);
-                        obs.record(HistId::SimTrialMl, ml as u64);
-                        obs.record(HistId::ExecDeliveredPerTrial, kept);
-                    }
-                    drop(verdict_span);
-                    obs.add(CounterId::SimTrials, active as u64);
-                    local.trials += active as u64;
-                    g += workers as u64;
                 }
-                obs.flush();
-                report.lock().merge(&local);
-            });
+                if let SlicedSpec::RandomFire {
+                    offset, t: width, ..
+                } = spec
+                {
+                    // The leader's rfire draw. The scalar path does
+                    // `TapeSet::fill_random_leader` and then reads
+                    // `draw_unit()` = (first tape word + 1) / 2⁶⁴;
+                    // the first tape word is exactly the next
+                    // `rng.gen::<u64>()` of the fill, and the
+                    // per-trial RNG is discarded right after, so
+                    // drawing that one word here yields a rfire
+                    // bit-identical to the scalar trial's.
+                    let word = rng.gen::<u64>();
+                    let unit = (word as f64 + 1.0) / 18_446_744_073_709_551_616.0; // 2^64
+                    engine.set_rfire(lane, offset + width * unit);
+                }
+            }
+            match sliced {
+                SlicedSampler::Fixed(_) => {
+                    obs.add(CounterId::SimFixedRunTrials, active as u64);
+                }
+                SlicedSampler::IidDrop { .. } => {
+                    obs.add(CounterId::RunSamples, active as u64);
+                    obs.add(CounterId::RunSlotsFlipped, flipped_total);
+                }
+            }
+            if matches!(spec, SlicedSpec::RandomFire { .. }) {
+                obs.add(CounterId::SimTapeRefills, active as u64);
+            }
+            drop(sample_span);
+            let out = {
+                let _exec_span = obs.span(SpanId::ExecExecute);
+                engine.run_group()
+            };
+            // Aggregate execution counters over the group; per-trial
+            // sums match the scalar engine's per-trial adds.
+            let kept_total: u64 = kept_lanes[..active].iter().sum();
+            obs.add(
+                CounterId::ExecTransitions,
+                (m as u64) * u64::from(n) * active as u64,
+            );
+            obs.add(CounterId::ExecMessagesDelivered, kept_total);
+            obs.add(
+                CounterId::ExecMessagesDestroyed,
+                edge_slots * active as u64 - kept_total,
+            );
+            if matches!(spec, SlicedSpec::RandomFire { .. }) {
+                // Only the leader consumes tape bits (64 per trial).
+                obs.add(CounterId::ExecTapeBitsConsumed, 64 * active as u64);
+            }
+            let verdict_span = obs.span(SpanId::SimVerdict);
+            // Tally the packed outputs: a trial is a total attack iff
+            // its lane is set in every process's attack word, a
+            // no-attack iff set in none.
+            let live: u64 = if active == LANES {
+                !0
+            } else {
+                (1u64 << active) - 1
+            };
+            let mut ta = live;
+            let mut na = live;
+            for (i, &attack) in out.attack.iter().enumerate() {
+                ta &= attack;
+                na &= !attack;
+                local.attacks[i] += u64::from((attack & live).count_ones());
+            }
+            let ta = u64::from(ta.count_ones());
+            let na = u64::from(na.count_ones());
+            local.counts.total_attack += ta;
+            local.counts.no_attack += na;
+            local.counts.partial_attack += active as u64 - ta - na;
+            for (lane, &kept) in kept_lanes.iter().take(active).enumerate() {
+                // Lemma 6.4: the minimum final count is the run's
+                // minimum modified level, which is what the scalar
+                // path records per trial.
+                let ml = f64::from(out.min_count[lane]);
+                local.ml.record(ml);
+                obs.record(HistId::SimTrialMl, ml as u64);
+                obs.record(HistId::ExecDeliveredPerTrial, kept);
+            }
+            drop(verdict_span);
+            obs.add(CounterId::SimTrials, active as u64);
+            local.trials += active as u64;
+            g += workers as u64;
         }
-    })
-    .expect("simulation worker panicked");
+        obs.flush();
+        local
+    });
 
     drop(outer_span);
     outer_obs.flush();
-    Some(report.into_inner())
+    Some(SimReport::merged(m, &parts))
 }
 
 /// Estimates the worst-case disagreement probability of `protocol` over a
