@@ -145,8 +145,8 @@ impl Experiment for AsyncExtension {
 }
 
 /// Every experiment, in id order: the paper suite E1–E12, then the
-/// extensions X1–X7. `ca expt`, `ca bench`, `ca profile` and the
-/// `paper_claims` test all run this list.
+/// extensions X1–X7. `ca expt`, `ca profile` and the `paper_claims` test
+/// all run this list.
 pub fn registry() -> Vec<Box<dyn Experiment>> {
     vec![
         Box::new(ProtocolAUnsafety),

@@ -872,7 +872,7 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeReport, CaError> {
 }
 
 /// Compares a fresh report against a baseline, mirroring
-/// `ca bench --compare` / `ca profile --compare`.
+/// `ca profile --compare`.
 ///
 /// Stable *counters* must match exactly; *latency* metrics (the decision
 /// histogram and its percentiles) may drift, gated by `p99_budget_pct`: the

@@ -15,10 +15,10 @@
 //! ca expt                                          # every experiment, quick scale
 //! ca expt     --full --csv results/                # paper-grade, tables as CSV
 //! ca expt     e4 x1                                # only the named experiments
-//! ca bench    --out BENCH_experiments.json         # time every experiment
-//! ca bench    --compare BENCH_experiments.json     # fail on >25% regression
 //! ca profile  --out profile.json                   # per-experiment engine metrics
 //! ca profile  --compare profile.json               # fail if stable counters drift
+//! ca profile  --timed --out BENCH_experiments.json # median wall of 5 runs per section
+//! ca profile  --timed --compare BENCH_experiments.json # also fail on slower medians
 //! ca serve    --smoke --report                     # sharded service under chaos load
 //! ca serve    --smoke --compare serve_smoke.json   # fail on drift / p99 regression
 //! ca sweep    --m 1000 --trials 100 --out sweep.json    # big-graph frontiers
@@ -29,8 +29,8 @@
 //! Graph names: `k<m>` (complete), `line<m>`, `ring<m>`, `star<m>`,
 //! `grid<r>x<c>`, `cube<d>`, `torus<r>x<c>`.
 //!
-//! The six report commands (`bench`, `profile`, `serve`, `sweep`,
-//! `exact --sweep`, `hunt`) share one gate, [`publish`]: each report type
+//! The five report commands (`profile`, `serve`, `sweep`, `exact --sweep`,
+//! `hunt`) share one gate, [`publish`]: each report type
 //! supplies only its drift rule and messages through [`GatedReport`].
 
 use ca_analysis::exact::protocol_s_outcomes;
@@ -42,7 +42,6 @@ use ca_async::campaign::{evaluate_schedule, run_campaign, CampaignConfig};
 use ca_async::experiments::registry;
 use ca_async::{Arrival, CourierSpec, FaultSchedule, HuntConfig, HuntReport, ServeConfig};
 use ca_async::{ServeReport, ServeTotals};
-use ca_bench::bench::{self, BenchConfig, BenchReport};
 use ca_bench::profile::{self, ProfileConfig, ProfileReport};
 use ca_core::exec::execute;
 use ca_core::graph::Graph;
@@ -125,20 +124,16 @@ const COMMANDS: &[Command] = &[
         run: expt_cmd,
     },
     Command {
-        name: "bench",
-        help: "[--full] [--trials K] [--stable] [--out FILE] \
-               [--compare OLD.json] — time every experiment, write \
-               BENCH_experiments.json; --compare diffs against an old report \
-               and fails on a >25% throughput regression",
-        run: bench_cmd,
-    },
-    Command {
         name: "profile",
         help: "[--full] [--trials K] [--threads W] [--timed] [--spans] \
-               [--out FILE] [--compare OLD.json] — capture engine counters, \
-               histograms, and span trees per experiment (byte-stable by \
-               default; --timed adds clocks); --compare fails if any stable \
-               counter drifted (needs an obs-enabled build)",
+               [--out FILE] [--compare OLD.json] — capture each experiment's \
+               verdict, engine counters, histograms, and span trees \
+               (byte-stable by default); --timed runs each section once to \
+               warm up, then 5 times on the clock, and reports the median \
+               wall time and its MAD (BENCH_experiments.json); --compare fails \
+               if any stable counter drifted or, with both reports timed, a \
+               median rose past both 25% and 4 MADs (needs an obs-enabled \
+               build)",
         run: profile_cmd,
     },
     Command {
@@ -230,10 +225,9 @@ struct Opts {
     out: Option<String>,
     replay: Option<String>,
     full: bool,
-    stable: bool,
     timed: bool,
     spans: bool,
-    bench_trials: Option<u64>,
+    explicit_trials: Option<u64>,
     compare: Option<String>,
     sweep: bool,
     // `sweep` command: process count for the generated topologies.
@@ -283,10 +277,9 @@ impl Default for Opts {
             out: None,
             replay: None,
             full: false,
-            stable: false,
             timed: false,
             spans: false,
-            bench_trials: None,
+            explicit_trials: None,
             compare: None,
             sweep: false,
             m: 1000,
@@ -365,12 +358,11 @@ fn parse_opts(args: &[String], takes_ids: bool) -> Result<Opts, String> {
             }
             "--trials" => {
                 opts.trials = num(arg, next("a count")?)?;
-                opts.bench_trials = Some(opts.trials);
+                opts.explicit_trials = Some(opts.trials);
             }
             "--full" => opts.full = true,
             "--sweep" => opts.sweep = true,
             "--m" => opts.m = num(arg, next("a count")?)?,
-            "--stable" => opts.stable = true,
             "--timed" => opts.timed = true,
             "--spans" => opts.spans = true,
             "--seed" => {
@@ -548,41 +540,35 @@ fn byte_identical<R: Serialize>(new: &R, old: &R, pass: &str, fail: &str) -> Res
     Ok(())
 }
 
-impl GatedReport for BenchReport {
-    const NOUN: &'static str = "bench";
-
-    /// Fails on a throughput drop over the threshold; entries under the
-    /// wall-time floor report deltas but never gate.
-    fn check(&self, baseline: &Self, _: &Opts) -> Result<(), String> {
-        let cmp = bench::compare_reports(baseline, self);
-        print!("{cmp}");
-        let regressions = cmp.regressions();
-        if regressions.is_empty() {
-            return Ok(());
-        }
-        Err(format!(
-            "throughput regressed >{}% on: {}",
-            bench::REGRESSION_THRESHOLD_PCT,
-            regressions.join(", ")
-        ))
-    }
-}
-
 impl GatedReport for ProfileReport {
     const NOUN: &'static str = "profile";
 
-    /// Fails unless every stable counter matches exactly.
+    /// Fails unless every stable counter matches exactly and, when both
+    /// reports are timed, no section's median wall time regressed.
     fn check(&self, baseline: &Self, _: &Opts) -> Result<(), String> {
         let cmp = profile::compare_profiles(baseline, self);
         print!("{cmp}");
+        let mut problems = Vec::new();
         let changed = cmp.changed();
-        if changed.is_empty() {
-            return Ok(());
+        if !changed.is_empty() {
+            problems.push(format!(
+                "stable counters drifted from the baseline: {}",
+                changed.join(", ")
+            ));
         }
-        Err(format!(
-            "stable counters drifted from the baseline: {}",
-            changed.join(", ")
-        ))
+        let slower = cmp.slower();
+        if !slower.is_empty() {
+            problems.push(format!(
+                "median wall time regressed >{}% and past 4 MADs on: {}",
+                profile::REGRESSION_THRESHOLD_PCT,
+                slower.join(", ")
+            ));
+        }
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(problems.join("; "))
+        }
     }
 }
 
@@ -787,7 +773,7 @@ fn expt_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
             })
             .collect::<Result<_, _>>()?
     };
-    let mut scale = Scale::resolve(opts.full, opts.bench_trials);
+    let mut scale = Scale::resolve(opts.full, opts.explicit_trials);
     if opts.seed_set {
         scale.seed = opts.seed;
     }
@@ -842,15 +828,6 @@ fn expt_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
     }
 }
 
-fn bench_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
-    let report = bench::run_bench(&BenchConfig {
-        full: opts.full,
-        trials: opts.bench_trials,
-        stable: opts.stable,
-    });
-    publish(&report, opts, |json| println!("{json}"))
-}
-
 fn profile_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
     if !ca_obs::ENABLED {
         return Err("this `ca` was built without observability; \
@@ -866,9 +843,9 @@ fn profile_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
     }
     let profiled = profile::run_profile(&ProfileConfig {
         full: opts.full,
-        trials: opts.bench_trials,
+        trials: opts.explicit_trials,
         timed: opts.timed,
-    });
+    })?;
     publish(&profiled.report, opts, |json| {
         println!("{json}");
         dump_spans(opts, &profiled.totals_snapshot, opts.timed);
@@ -967,7 +944,7 @@ fn sweep_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
     // per-trial seed streams). The human-readable table goes to stderr so
     // stdout stays pure JSON.
     let mut config =
-        ScenarioSweepConfig::default_at(opts.m, opts.bench_trials.unwrap_or(100), opts.seed);
+        ScenarioSweepConfig::default_at(opts.m, opts.explicit_trials.unwrap_or(100), opts.seed);
     config.threads = opts.threads;
     let report = run_sweep(&config).map_err(|e| e.to_string())?;
     publish(&report, opts, |json| {

@@ -1,7 +1,6 @@
-//! The engines behind the `ca` CLI's measured reports: `ca bench` timings
-//! and `ca profile` engine metrics.
+//! The engine behind the `ca` CLI's measured report: `ca profile`'s engine
+//! metrics and, with `--timed`, per-section wall times.
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod profile;

@@ -1,11 +1,10 @@
 //! Golden tests of the `ca expt` subcommand, driving the real binary.
 //!
 //! Pins the experiment runner's contract: it runs the one registry, in the
-//! same id order `ca bench` reports, selects experiments by
-//! case-insensitive id, rejects unknown ids with a typed error, and exports
-//! each table as CSV on request.
+//! id order every registry report (`ca profile`, BENCH_experiments.json)
+//! uses, selects experiments by case-insensitive id, rejects unknown ids
+//! with a typed error, and exports each table as CSV on request.
 
-use ca_bench::bench::{BenchReport, DP_PROBE_ID, SWEEP_PROBE_ID};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -34,18 +33,11 @@ fn list_matches_the_bench_report_order() {
         })
         .collect();
     assert_eq!(listed.len(), 19, "E1–E12 and X1–X7: {listed:?}");
-
-    let bench = ca(&["bench", "--trials", "20", "--stable"]);
-    assert!(bench.status.success());
-    let report: BenchReport =
-        serde::json::from_str(&stdout(&bench)).expect("stdout is a bench report");
-    let benched: Vec<String> = report
-        .experiments
-        .into_iter()
-        .map(|e| e.id)
-        .filter(|id| id != DP_PROBE_ID && id != SWEEP_PROBE_ID)
+    let registry: Vec<String> = ca_async::experiments::registry()
+        .iter()
+        .map(|e| e.id().to_owned())
         .collect();
-    assert_eq!(listed, benched);
+    assert_eq!(listed, registry);
 }
 
 #[test]

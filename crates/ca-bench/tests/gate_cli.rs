@@ -1,12 +1,12 @@
 //! Table-driven tests of the `--out` / `--compare` gate every report
-//! command shares (`bench`, `profile`, `serve`, `sweep`, `exact --sweep`,
-//! `hunt`), driving the real binary at each command's smallest flags.
+//! command shares (`profile`, `serve`, `sweep`, `exact --sweep`, `hunt`),
+//! driving the real binary at each command's smallest flags.
 //!
 //! Pins the gate's order of operations: a baseline that cannot be read or
 //! parsed fails the run before `--out` writes anything, and the baseline is
 //! read before `--out` writes, so `--out F --compare F` diffs against the
-//! bytes `F` held before the run — what CI's `bench --out B --compare B`
-//! relies on.
+//! bytes `F` held before the run — what CI's `profile --timed --out B
+//! --compare B` relies on.
 
 use std::process::{Command, Output};
 
@@ -28,7 +28,6 @@ const SWEEP: [&str; 7] = ["sweep", "--m", "32", "--trials", "4", "--seed", "7"];
 /// Each gated command at its smallest flags.
 fn gated_commands() -> Vec<Vec<&'static str>> {
     let mut commands = vec![
-        vec!["bench", "--trials", "20", "--stable"],
         vec!["serve", "--smoke", "--report"],
         SWEEP.to_vec(),
         vec![
@@ -60,9 +59,16 @@ fn unreadable_or_malformed_baselines_fail_before_out_is_written() {
     let missing = tmp_path("missing");
     let malformed = tmp_path("malformed");
     std::fs::write(&malformed, "{ \"schema\": ").expect("write malformed baseline");
+    // Deep enough to overflow the parser's stack without its nesting cap.
+    let deep = tmp_path("deep");
+    std::fs::write(
+        &deep,
+        format!("{}{}", "[".repeat(50_000), "]".repeat(50_000)),
+    )
+    .expect("write deep baseline");
     for command in gated_commands() {
         let out = tmp_path(&format!("{}_out", command[0]));
-        for baseline in [&missing, &malformed] {
+        for baseline in [&missing, &malformed, &deep] {
             let _ = std::fs::remove_file(&out);
             let args = [&command[..], &["--compare", baseline, "--out", &out]].concat();
             let output = ca(&args);
@@ -76,6 +82,7 @@ fn unreadable_or_malformed_baselines_fail_before_out_is_written() {
         }
     }
     let _ = std::fs::remove_file(&malformed);
+    let _ = std::fs::remove_file(&deep);
 }
 
 #[test]

@@ -159,6 +159,22 @@ fn shrunk_winner_replays_to_the_same_damage() {
 }
 
 #[test]
+fn deeply_nested_replay_file_is_a_typed_error() {
+    let path = tmp_path("deep_schedule");
+    let deep = format!("{}1{}", "{\"a\":".repeat(50_000), "}".repeat(50_000));
+    std::fs::write(&path, deep).expect("write schedule");
+    let replay = ca_bin()
+        .args(["hunt", "--graph", "k2", "--replay"])
+        .arg(&path)
+        .output()
+        .expect("run ca hunt --replay");
+    let err = String::from_utf8_lossy(&replay.stderr);
+    assert_eq!(replay.status.code(), Some(1), "{err}");
+    assert!(err.starts_with("error: bad schedule"), "{err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn compare_gate_passes_on_identical_runs_and_fails_on_drift() {
     let baseline = tmp_path("baseline");
     run_hunt("0", &baseline);

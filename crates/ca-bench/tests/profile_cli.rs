@@ -69,8 +69,10 @@ fn profile_report_has_the_pinned_shape() {
     assert!(output.status.success());
     let text = String::from_utf8(output.stdout).expect("stdout is UTF-8");
 
-    assert!(text.contains("\"schema\": 1"));
+    assert!(text.contains("\"schema\": 2"));
     assert!(text.contains("\"timed\": false"));
+    assert!(text.contains("\"reps\": 1"));
+    assert!(!text.contains("\"passed\": false"), "every section passes");
     assert!(text.contains("\"id\": \"chaos\""));
 
     // Sections appear in registry order: E1..E12 then X1..X5.
@@ -103,7 +105,11 @@ fn profile_report_has_the_pinned_shape() {
         !text.contains("\"wall_ms\": 0.00"),
         "wall_ms must be exactly 0.0"
     );
-    for field in ["\"wall_ms\": 0.0", "\"total_ns\": 0"] {
+    for field in [
+        "\"wall_ms\": 0.0",
+        "\"wall_mad_ms\": 0.0",
+        "\"total_ns\": 0",
+    ] {
         assert!(text.contains(field));
     }
 }

@@ -34,8 +34,7 @@
 //!   commutative. `ca profile` pins these byte-for-byte.
 //! * **timing** — span `total_ns` and the contents of time histograms
 //!   ([`HistId::is_time_ns`]): machine- and run-dependent, suppressed
-//!   unless explicitly requested (`ca profile --timed`), exactly like
-//!   `ca bench --stable` zeroes its clock readings.
+//!   unless explicitly requested (`ca profile --timed`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

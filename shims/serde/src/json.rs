@@ -159,15 +159,22 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(print(&to_value(value)?, Some(0)))
 }
 
+/// The deepest array/object nesting [`parse`] accepts (serde_json's
+/// default). The parser recurses once per level, so without a cap a
+/// hostile `[[[…]]]` would overflow the stack instead of returning an error.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`].
 ///
 /// # Errors
 ///
-/// Returns an error describing the first syntax problem.
+/// Returns an error describing the first syntax problem, or nesting deeper
+/// than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -586,6 +593,8 @@ fn print_into(out: &mut String, v: &Value, indent: Option<usize>) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -630,8 +639,8 @@ impl Parser<'_> {
             Some(b't') => self.expect_keyword("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.expect_keyword("false").map(|()| Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(Error(format!(
                 "unexpected `{}` at byte {}",
@@ -639,6 +648,21 @@ impl Parser<'_> {
             ))),
             None => Err(Error("unexpected end of input".to_owned())),
         }
+    }
+
+    /// Parses an array or object one level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, Error> {
@@ -834,5 +858,18 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("1 2").is_err());
+
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        let err = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // Deep enough to overflow the stack without the cap.
+        let err = parse(&nest("{\"a\":", "}", 50_000)).unwrap_err();
+        assert!(err.to_string().starts_with("nesting deeper than"), "{err}");
     }
 }
