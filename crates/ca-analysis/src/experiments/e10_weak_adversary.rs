@@ -15,10 +15,11 @@
 //! still the right tool when the adversary is adaptive.
 
 use super::{Experiment, ExperimentResult, Scale};
+use crate::level_dp::{weak_outcomes, DpSpec};
 use crate::report::{fmt_estimate, fmt_f64, Table};
 use ca_core::graph::Graph;
 use ca_protocols::{FixedThreshold, ProtocolS};
-use ca_sim::{simulate, RandomDrop, SimConfig};
+use ca_sim::{simulate, SimConfig};
 
 /// E10: measured `L/U` against the weak adversary.
 #[derive(Clone, Copy, Debug, Default)]
@@ -52,7 +53,7 @@ impl Experiment for WeakAdversary {
 
         let mut best_ratio: f64 = 0.0;
         for (k, p) in [0.05f64, 0.1, 0.2, 0.3].into_iter().enumerate() {
-            let sampler = RandomDrop::new(&graph, n, p);
+            let sampler = ca_sim::WeakAdversary::iid(&graph, n, p);
             let report = simulate(
                 &proto,
                 &graph,
@@ -61,12 +62,13 @@ impl Experiment for WeakAdversary {
             );
             let live = report.liveness();
             let dis = report.disagreement();
-            // Exact cross-check from the Markov-chain analysis.
-            let exact = crate::weak_exact::weak_adversary_exact(n, p, t);
-            passed &= live.consistent_with_z(exact.liveness, 4.0);
-            passed &= dis.consistent_with_z(exact.disagreement, 4.0);
-            let ratio = if exact.disagreement > 0.0 {
-                exact.liveness / exact.disagreement
+            // Exact cross-check from the level DP's weighted pass.
+            let exact =
+                weak_outcomes(&graph, n, &DpSpec::protocol_s(t), p).expect("K2 fits the DP");
+            passed &= live.consistent_with_z(exact.ta, 4.0);
+            passed &= dis.consistent_with_z(exact.pa, 4.0);
+            let ratio = if exact.pa > 0.0 {
+                exact.ta / exact.pa
             } else {
                 f64::INFINITY
             };
@@ -76,8 +78,8 @@ impl Experiment for WeakAdversary {
                 "S".to_owned(),
                 fmt_estimate(&live),
                 fmt_estimate(&dis),
-                fmt_f64(exact.liveness),
-                fmt_f64(exact.disagreement),
+                fmt_f64(exact.ta),
+                fmt_f64(exact.pa),
                 if ratio.is_finite() {
                     format!("{ratio:.0}")
                 } else {
@@ -88,7 +90,7 @@ impl Experiment for WeakAdversary {
             // unsafety far below ε.
             if p <= 0.2 {
                 passed &= live.point() > 0.9;
-                passed &= exact.disagreement < 1.0 / t as f64;
+                passed &= exact.pa < 1.0 / t as f64;
             }
         }
         passed &= best_ratio > n as f64;
@@ -97,7 +99,7 @@ impl Experiment for WeakAdversary {
         let theta = n / 2;
         let thresh = FixedThreshold::new(theta);
         for (k, p) in [0.1f64, 0.3].into_iter().enumerate() {
-            let sampler = RandomDrop::new(&graph, n, p);
+            let sampler = ca_sim::WeakAdversary::iid(&graph, n, p);
             let report = simulate(
                 &thresh,
                 &graph,
@@ -118,7 +120,7 @@ impl Experiment for WeakAdversary {
         findings.push(format!(
             "Protocol S against random drops: exact L/U reaches {:.0}, far above the \
              strong-adversary ceiling L/U ≤ N = {n} — the paper's 'vastly improved performance' \
-             (§8), now with a closed-form Markov-chain cross-check matching Monte Carlo",
+             (§8), with the level DP's exact weighted pass matching Monte Carlo",
             if best_ratio.is_finite() {
                 best_ratio
             } else {
@@ -151,5 +153,28 @@ mod tests {
         let result = WeakAdversary.run(Scale::quick());
         assert!(result.passed, "{result}");
         assert_eq!(result.table.len(), 6);
+    }
+
+    #[test]
+    fn exact_column_is_pinned() {
+        // E10's exact (L, U) per drop probability, as the two-general Markov
+        // chain that preceded the level DP's weighted pass computed them.
+        let pinned = [
+            (0.05, 0.999_999_999_998_428_6, 1.506_188_380_106_541_9e-12),
+            (0.1, 0.999_999_992_194_700_1, 7.142_505_287_781_265e-9),
+            (0.2, 0.999_977_860_101_659_7, 1.806_813_209_428_607e-5),
+            (0.3, 0.998_633_548_068_470_9, 9.585_290_830_077_757e-4),
+        ];
+        let graph = Graph::complete(2).unwrap();
+        for (p, ta, pa) in pinned {
+            let out = weak_outcomes(&graph, 24, &DpSpec::protocol_s(12), p).unwrap();
+            for (got, want) in [(out.ta, ta), (out.pa, pa)] {
+                let diff = (got - want).abs();
+                assert!(
+                    diff <= 1e-12 && diff <= 1e-9 * want,
+                    "p={p}: {got:e} vs pinned {want:e}"
+                );
+            }
+        }
     }
 }

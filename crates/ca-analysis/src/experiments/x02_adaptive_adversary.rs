@@ -47,9 +47,8 @@ impl Experiment for AdaptiveAdversaryExperiment {
 
         for (gname, graph) in &graphs {
             // Randomized cut.
-            let sampler = AdaptiveSampler::new(graph.clone(), n, "randomized-cut", move |seed| {
-                RandomizedCut::new(n, seed)
-            });
+            let sampler =
+                AdaptiveSampler::new(graph.clone(), n, move |seed| RandomizedCut::new(n, seed));
             let report = simulate(
                 &proto,
                 graph,
@@ -67,8 +66,7 @@ impl Experiment for AdaptiveAdversaryExperiment {
             ]);
 
             // Gambler.
-            let sampler =
-                AdaptiveSampler::new(graph.clone(), n, "gambler", |seed| Gambler::new(2, seed));
+            let sampler = AdaptiveSampler::new(graph.clone(), n, |seed| Gambler::new(2, seed));
             let report = simulate(
                 &proto,
                 graph,
@@ -86,9 +84,7 @@ impl Experiment for AdaptiveAdversaryExperiment {
             ]);
 
             // Link chopper.
-            let sampler = AdaptiveSampler::new(graph.clone(), n, "link-chopper", |seed| {
-                LinkChopper::new(2, seed)
-            });
+            let sampler = AdaptiveSampler::new(graph.clone(), n, |seed| LinkChopper::new(2, seed));
             let report = simulate(
                 &proto,
                 graph,

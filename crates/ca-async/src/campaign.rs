@@ -365,6 +365,18 @@ pub fn evaluate_schedule(
     index: u64,
     schedule: FaultSchedule,
 ) -> ScheduleResult {
+    evaluate_guarded(index, schedule, |schedule, obs| {
+        evaluate_schedule_inner(graph, config, index, schedule, obs)
+    })
+}
+
+/// Runs `evaluate` on `schedule` inside the per-schedule panic boundary
+/// and records the evaluation's metrics.
+fn evaluate_guarded(
+    index: u64,
+    schedule: FaultSchedule,
+    evaluate: impl FnOnce(FaultSchedule, &ca_obs::Metrics) -> ScheduleResult,
+) -> ScheduleResult {
     use ca_obs::{CounterId, HistId, SpanId};
     // One local sink per evaluation, flushed on exit: evaluations run on
     // `parallel_map` workers, and per-schedule attribution is what keeps
@@ -377,9 +389,7 @@ pub fn evaluate_schedule(
     // `parallel_map` worker and with it the whole campaign.
     let result = {
         let _span = obs.span(SpanId::ChaosEvaluate);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            evaluate_schedule_inner(graph, config, index, schedule.clone(), &obs)
-        }));
+        let caught = catch_unwind(AssertUnwindSafe(|| evaluate(schedule.clone(), &obs)));
         match caught {
             Ok(result) => result,
             Err(payload) => ScheduleResult {
@@ -783,13 +793,10 @@ mod tests {
 
     #[test]
     fn poisoned_schedule_becomes_a_typed_failure() {
-        let g = Graph::complete(3).unwrap();
-        let mut config = CampaignConfig::new(1, 1, 12, 4);
-        config.mc_trials = 0;
-        // `extra_max = u64::MAX` passes validation but the jitter's modulus
-        // computes `extra_max + 1` — a deterministic arithmetic panic at
-        // evaluation time. The per-schedule boundary must convert it into a
-        // typed `failed` entry instead of unwinding through the campaign.
+        // An evaluation that panics inside the engine or the courier must
+        // become a typed `failed` entry instead of unwinding through the
+        // campaign. No valid schedule is known to panic, so the panic is
+        // injected behind the real boundary.
         let poisoned = FaultSchedule {
             seed: 3,
             base_latency: 1,
@@ -798,15 +805,26 @@ mod tests {
                 window: TimeWindow::always(),
             }],
         };
-        let r = evaluate_schedule(&g, &config, 0, poisoned.clone());
-        assert!(r.failed.is_some(), "{r:?}");
+        let evaluate = || {
+            evaluate_guarded(0, poisoned.clone(), |_, _| -> ScheduleResult {
+                panic!("poisoned evaluation")
+            })
+        };
+        let r = evaluate();
+        assert_eq!(r.failed.as_deref(), Some("poisoned evaluation"), "{r:?}");
         assert!(r.rejected.is_none());
         assert!(!r.is_violation(), "a failure is not an oracle violation");
         assert_eq!(r.schedule, poisoned, "the poisoned schedule is preserved");
         // Evaluation of failures is deterministic: same schedule, same
         // typed failure.
-        let again = evaluate_schedule(&g, &config, 0, poisoned);
-        assert_eq!(r, again);
+        assert_eq!(r, evaluate());
+        // The schedule itself, whose jitter bound once overflowed the
+        // modulus, now evaluates cleanly.
+        let g = Graph::complete(3).unwrap();
+        let mut config = CampaignConfig::new(1, 1, 12, 4);
+        config.mc_trials = 0;
+        let real = evaluate_schedule(&g, &config, 0, poisoned);
+        assert_eq!(real.failed, None, "{real:?}");
     }
 
     #[test]

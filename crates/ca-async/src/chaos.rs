@@ -427,7 +427,8 @@ impl ChaosCourier {
                 }
                 FaultPrimitive::DelayJitter { extra_max, window } => {
                     if window.contains(e.sent_at) && *extra_max > 0 {
-                        latency += self.coin(k, e.seq, 0) % (extra_max + 1);
+                        let extra = self.coin(k, e.seq, 0) % extra_max.saturating_add(1);
+                        latency = latency.saturating_add(extra);
                     }
                 }
                 FaultPrimitive::Duplicate {
@@ -445,7 +446,8 @@ impl ChaosCourier {
                     window,
                 } => {
                     if window.contains(e.sent_at) && unit(self.coin(k, e.seq, 0)) < *p {
-                        latency += 1 + self.coin(k, e.seq, 1) % *max_swap;
+                        let swap = 1 + self.coin(k, e.seq, 1) % *max_swap;
+                        latency = latency.saturating_add(swap);
                     }
                 }
                 FaultPrimitive::BurstLoss { period, burst_len } => {
@@ -482,7 +484,10 @@ impl ChaosCourier {
         if destroyed {
             (Fate::Destroy, None)
         } else {
-            (Fate::Deliver(e.sent_at + latency), echo_at_delay)
+            (
+                Fate::Deliver(e.sent_at.saturating_add(latency)),
+                echo_at_delay,
+            )
         }
     }
 }
@@ -502,7 +507,7 @@ impl Courier for ChaosCourier {
             (Fate::Deliver(at), echo) => {
                 out.push(Fate::Deliver(at));
                 if let Some(delay) = echo {
-                    out.push(Fate::Deliver(at + delay));
+                    out.push(Fate::Deliver(at.saturating_add(delay)));
                 }
             }
         }
@@ -699,6 +704,54 @@ mod tests {
         let mut fates = Vec::new();
         c.fates(event(0, 1, 10, 0), &mut fates);
         assert_eq!(fates, vec![Fate::Deliver(12), Fate::Deliver(15)]);
+    }
+
+    #[test]
+    fn maximal_ticks_saturate_instead_of_wrapping() {
+        // A schedule may carry any u64. Arrival ticks saturate at u64::MAX,
+        // which lies past every deadline: the message never arrives.
+        const M: Time = Time::MAX;
+        let fates = |base_latency, fault| {
+            let mut c = ChaosCourier::new(FaultSchedule {
+                seed: 1,
+                base_latency,
+                faults: vec![fault],
+            })
+            .unwrap();
+            let mut out = Vec::new();
+            c.fates(event(0, 1, 7, 0), &mut out);
+            out
+        };
+        let never = FaultPrimitive::DropProb {
+            p: 0.0,
+            window: TimeWindow::always(),
+        };
+        assert_eq!(fates(M, never), vec![Fate::Deliver(M)], "base latency");
+        let jitter = FaultPrimitive::DelayJitter {
+            extra_max: M,
+            window: TimeWindow::always(),
+        };
+        assert!(
+            matches!(fates(1, jitter.clone())[..], [Fate::Deliver(at)] if at > 7),
+            "jitter"
+        );
+        assert_eq!(fates(M, jitter), vec![Fate::Deliver(M)], "jitter on top");
+        let reorder = FaultPrimitive::Reorder {
+            p: 1.0,
+            max_swap: M,
+            window: TimeWindow::always(),
+        };
+        assert_eq!(fates(M, reorder), vec![Fate::Deliver(M)], "reorder");
+        let echo = FaultPrimitive::Duplicate {
+            p: 1.0,
+            echo_delay: M,
+            window: TimeWindow::always(),
+        };
+        assert_eq!(
+            fates(2, echo),
+            vec![Fate::Deliver(9), Fate::Deliver(M)],
+            "echo delay"
+        );
     }
 
     #[test]

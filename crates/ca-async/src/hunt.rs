@@ -323,7 +323,9 @@ pub fn induced_run(graph: &Graph, schedule: &FaultSchedule, rounds: u32) -> Resu
                 seq,
             };
             seq += 1;
-            if courier.fate(event) == Fate::Deliver(sent_at + on_time) {
+            // An on-time arrival past `u64::MAX` never happens.
+            let fate = courier.fate(event);
+            if sent_at.checked_add(on_time).map(Fate::Deliver) == Some(fate) {
                 run.add_message(from, to, Round::new(r));
             }
         }
@@ -607,13 +609,24 @@ fn evaluate_candidate(
     generation: u32,
     schedule: FaultSchedule,
 ) -> CandidateResult {
+    evaluate_guarded(id, generation, schedule, |schedule| {
+        evaluate_candidate_inner(graph, config, id, generation, schedule)
+    })
+}
+
+/// Runs `evaluate` on `schedule` inside the per-candidate panic boundary
+/// and records the candidate's metrics.
+fn evaluate_guarded(
+    id: u64,
+    generation: u32,
+    schedule: FaultSchedule,
+    evaluate: impl FnOnce(FaultSchedule) -> CandidateResult,
+) -> CandidateResult {
     use ca_obs::{CounterId, SpanId};
     let obs = ca_obs::Metrics::new();
     let result = {
         let _span = obs.span(SpanId::HuntEvaluate);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            evaluate_candidate_inner(graph, config, id, generation, schedule.clone())
-        }));
+        let caught = catch_unwind(AssertUnwindSafe(|| evaluate(schedule.clone())));
         match caught {
             Ok(result) => result,
             Err(payload) => CandidateResult {
@@ -1089,6 +1102,27 @@ mod tests {
     }
 
     #[test]
+    fn induced_run_drops_arrivals_past_the_last_tick() {
+        // With a base latency of u64::MAX only round 1's sends (at tick 0)
+        // can arrive on time; every later arrival saturates and is lost.
+        let g = k2();
+        let schedule = FaultSchedule {
+            seed: 0,
+            base_latency: u64::MAX,
+            faults: vec![],
+        };
+        let run = induced_run(&g, &schedule, 4).unwrap();
+        let mut expect = Run::empty(2, 4);
+        for i in g.vertices() {
+            expect.add_input(i);
+        }
+        for (from, to) in g.directed_edges() {
+            expect.add_message(from, to, Round::new(1));
+        }
+        assert_eq!(run, expect);
+    }
+
+    #[test]
     fn evaluate_types_blackouts_infeasible_and_panics_failed() {
         let g = k2();
         let config = HuntConfig::quick(1);
@@ -1105,18 +1139,13 @@ mod tests {
         assert_eq!(r.status, CandidateStatus::Infeasible);
         assert_eq!(r.ml, 0);
         assert_eq!(r.exact_ta, 0.0);
-        // Poisoned: passes validation, panics in the jitter modulus.
-        let poisoned = FaultSchedule {
-            seed: 0,
-            base_latency: 1,
-            faults: vec![FaultPrimitive::DelayJitter {
-                extra_max: u64::MAX,
-                window: TimeWindow::always(),
-            }],
-        };
-        let r = evaluate_candidate(&g, &config, 1, 0, poisoned);
+        // Poisoned: the evaluation panics behind the real boundary (no
+        // valid schedule is known to panic, so the panic is injected).
+        let r = evaluate_guarded(1, 0, FaultSchedule::reliable(1), |_| -> CandidateResult {
+            panic!("poisoned evaluation")
+        });
         assert_eq!(r.status, CandidateStatus::Failed);
-        assert!(r.detail.is_some());
+        assert_eq!(r.detail.as_deref(), Some("poisoned evaluation"));
         // Invalid: typed rejection.
         let invalid = FaultSchedule {
             seed: 0,

@@ -10,7 +10,7 @@ use ca_core::level::{min_modified_level_into, LevelScratch};
 use ca_core::run::Run;
 use ca_core::tape::TapeSet;
 use ca_protocols::ProtocolS;
-use ca_sim::{RandomDrop, RunSampler};
+use ca_sim::{RunSampler, WeakAdversary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -29,7 +29,7 @@ fn main() {
     let graph = Graph::complete(2).expect("graph");
     let n = 24u32;
     let proto = ProtocolS::new(1.0 / 12.0);
-    let sampler = RandomDrop::new(&graph, n, 0.1);
+    let sampler = WeakAdversary::iid(&graph, n, 0.1);
     let iters = 200_000u64;
 
     let mut rng = StdRng::seed_from_u64(1);

@@ -81,7 +81,6 @@ pub struct AdaptiveSampler<F> {
     graph: Graph,
     n: u32,
     make: F,
-    label: &'static str,
 }
 
 impl<F, A> AdaptiveSampler<F>
@@ -90,13 +89,8 @@ where
     A: AdaptiveAdversary,
 {
     /// Creates a sampler that builds a fresh adversary per trial from a seed.
-    pub fn new(graph: Graph, n: u32, label: &'static str, make: F) -> Self {
-        AdaptiveSampler {
-            graph,
-            n,
-            make,
-            label,
-        }
+    pub fn new(graph: Graph, n: u32, make: F) -> Self {
+        AdaptiveSampler { graph, n, make }
     }
 }
 
@@ -105,10 +99,6 @@ where
     F: Fn(u64) -> A + Sync,
     A: AdaptiveAdversary,
 {
-    fn describe(&self) -> String {
-        format!("adaptive({})", self.label)
-    }
-
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Run {
         let mut adversary = (self.make)(rng.gen());
         materialize(&mut adversary, &self.graph, self.n)
@@ -400,8 +390,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let g = Graph::complete(2).unwrap();
-        let sampler = AdaptiveSampler::new(g.clone(), 4, "gambler", |seed| Gambler::new(1, seed));
-        assert!(sampler.describe().contains("gambler"));
+        let sampler = AdaptiveSampler::new(g.clone(), 4, |seed| Gambler::new(1, seed));
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..10 {
             sampler.sample(&mut rng).validate(&g).unwrap();

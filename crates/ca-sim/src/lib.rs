@@ -36,7 +36,6 @@ pub use monte_carlo::{
 };
 pub use stats::{BernoulliEstimate, RunningStats};
 pub use strategy::{
-    crash_family, cut_family, single_drop_family, FixedRun, RandomDrop, RandomRun, RunSampler,
-    SlicedSampler,
+    crash_family, cut_family, single_drop_family, FixedRun, RandomRun, RunSampler, SlicedSampler,
 };
 pub use weak::{LossModel, WeakAdversary};

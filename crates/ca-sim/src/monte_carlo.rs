@@ -584,7 +584,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{FixedRun, RandomDrop};
+    use crate::strategy::FixedRun;
+    use crate::weak::WeakAdversary;
     use ca_core::ids::{ProcessId, Round};
     use ca_core::run::Run;
     use ca_protocols::{ProtocolA, ProtocolS};
@@ -672,7 +673,7 @@ mod tests {
     fn weak_adversary_sampler_integration() {
         let g = Graph::complete(2).unwrap();
         let proto = ProtocolS::new(0.25);
-        let sampler = RandomDrop::new(&g, 8, 0.2);
+        let sampler = WeakAdversary::iid(&g, 8, 0.2);
         let report = simulate(&proto, &g, &sampler, SimConfig::new(800, 19));
         // Liveness should be substantial and disagreement far below ε.
         assert!(report.liveness().point() > 0.5, "{report}");
@@ -754,7 +755,7 @@ mod tests {
         let g = Graph::complete(2).unwrap();
         let cfg = SimConfig::new(100, 23);
         let s = ProtocolS::new(0.25);
-        let drop = RandomDrop::new(&g, 4, 0.3);
+        let drop = WeakAdversary::iid(&g, 4, 0.3);
         assert!(simulate_sliced(&s, &g, &drop, cfg).is_some());
         assert!(simulate_sliced(&s, &g, &FixedRun::new(Run::good(&g, 4)), cfg).is_some());
         // Input-randomizing samplers and non-counting protocols fall back.
@@ -768,7 +769,7 @@ mod tests {
         let g = Graph::complete(3).unwrap();
         let cfg = SimConfig::new(333, 29); // crosses lane-group boundaries
         let s = ProtocolS::new(0.2);
-        let drop = RandomDrop::new(&g, 5, 0.25);
+        let drop = WeakAdversary::iid(&g, 5, 0.25);
         let sliced = simulate_sliced(&s, &g, &drop, cfg).expect("sliced path must engage");
         assert_eq!(sliced, simulate_scalar(&s, &g, &drop, cfg));
         let fixed = FixedRun::new(Run::good(&g, 5));

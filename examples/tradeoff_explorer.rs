@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let report = simulate(
             &proto,
             &graph,
-            &RandomDrop::new(&graph, n, p),
+            &WeakAdversary::iid(&graph, n, p),
             SimConfig::new(30_000, 11),
         );
         let l = report.liveness();

@@ -64,7 +64,7 @@ pub mod prelude {
     };
     pub use ca_sim::{
         simulate, simulate_scalar, simulate_sliced, BernoulliEstimate, FixedRun, LossModel,
-        RandomDrop, SimConfig, SimReport, WeakAdversary,
+        SimConfig, SimReport, WeakAdversary,
     };
 }
 

@@ -66,7 +66,7 @@ fn protocol_s_reports_are_thread_count_invariant() {
         "S/random-drop",
         &proto,
         &graph,
-        &RandomDrop::new(&graph, 6, 0.3),
+        &WeakAdversary::iid(&graph, 6, 0.3),
         11,
     );
     assert_thread_invariant(
@@ -93,7 +93,7 @@ fn protocol_a_reports_are_thread_count_invariant() {
         "A/random-drop",
         &proto,
         &graph,
-        &RandomDrop::new(&graph, 8, 0.2),
+        &WeakAdversary::iid(&graph, 8, 0.2),
         19,
     );
 }
@@ -113,7 +113,7 @@ fn sliced_threshold_reports_are_thread_count_invariant() {
         "θ/random-drop",
         &proto,
         &graph,
-        &RandomDrop::new(&graph, 5, 0.4),
+        &WeakAdversary::iid(&graph, 5, 0.4),
         29,
     );
 }
@@ -124,7 +124,7 @@ fn sliced_and_scalar_paths_agree_across_thread_counts() {
     // and the sliced path must reproduce it byte-for-byte at every width.
     let graph = Graph::complete(3).expect("graph");
     let proto = ProtocolS::new(0.25);
-    let sampler = RandomDrop::new(&graph, 6, 0.3);
+    let sampler = WeakAdversary::iid(&graph, 6, 0.3);
     let config = SimConfig {
         trials: 600,
         seed: 37,
@@ -134,7 +134,7 @@ fn sliced_and_scalar_paths_agree_across_thread_counts() {
     for threads in [1usize, 2, 8] {
         let config = SimConfig { threads, ..config };
         let sliced = simulate_sliced(&proto, &graph, &sampler, config)
-            .expect("Protocol S over RandomDrop supports the sliced path");
+            .expect("Protocol S over iid loss supports the sliced path");
         assert_eq!(
             sliced, oracle,
             "sliced report at {threads} threads differs from the scalar oracle"

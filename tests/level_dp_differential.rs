@@ -185,7 +185,7 @@ proptest! {
         t in 1u64..=9,
     ) {
         let g = Graph::complete(3).expect("graph");
-        let sampler = RandomDrop::new(&g, n, drop_pct as f64 / 100.0);
+        let sampler = WeakAdversary::iid(&g, n, drop_pct as f64 / 100.0);
         let run = sampler.sample(&mut StdRng::seed_from_u64(sample_seed));
         let (out, used_dp) = level_dp::outcomes_with_fallback(&g, &run, t, true);
         prop_assert!(used_dp);
@@ -223,4 +223,66 @@ fn sweep_crosses_the_enumeration_wall_with_the_closed_form_values() {
     assert_eq!(past_wall.first_certain_round, Some(12));
     assert_eq!(past_wall.final_max_ta, Rational::ONE);
     assert_eq!(past_wall.u_s, Rational::new(1, 12));
+}
+
+/// `weak_outcomes` against brute force: the sum of `Pr[R] · run_outcomes(R)`
+/// over every run `R` in which all inputs arrive, where a run delivering `k`
+/// of its `S` good-run slots has `Pr[R] = (1−p)^k · p^(S−k)`. Each shape is
+/// enumerated once; per spec, outcomes are summed exactly per `k`, so every
+/// `p` costs only a polynomial evaluation.
+#[test]
+fn weak_outcomes_equal_the_probability_weighted_run_sum() {
+    let shapes = [
+        (Graph::complete(2), 6),
+        (Graph::complete(3), 2),
+        (Graph::ring(4), 2),
+        (Graph::star(4), 2),
+        (Graph::line(3), 3),
+    ];
+    // Caps 2, 0, 8 and 1: every base clips on some shape, and none does
+    // under message validity at t = 8.
+    let specs = [
+        DpSpec::protocol_s(3),
+        DpSpec::eager(2),
+        DpSpec::message_validity(8),
+        DpSpec::threshold(2),
+    ];
+    for (g, n) in shapes {
+        let g = g.expect("graph");
+        let slots: Vec<_> = Run::good(&g, n).messages().collect();
+        let runs: Vec<(usize, Run)> = (0u32..1 << slots.len())
+            .map(|mask| {
+                let mut run = Run::empty(g.len(), n);
+                for i in g.vertices() {
+                    run.add_input(i);
+                }
+                for (b, s) in slots.iter().enumerate() {
+                    if mask >> b & 1 == 1 {
+                        run.add_message(s.from, s.to, s.round);
+                    }
+                }
+                (mask.count_ones() as usize, run)
+            })
+            .collect();
+        for spec in specs {
+            let mut by_k = vec![(Rational::ZERO, Rational::ZERO); slots.len() + 1];
+            for (k, run) in &runs {
+                let out = level_dp::run_outcomes(&g, run, &spec).expect("eligible");
+                by_k[*k] = (by_k[*k].0 + out.ta, by_k[*k].1 + out.pa);
+            }
+            for p in [0.0f64, 0.1, 0.35, 1.0] {
+                let (mut ta, mut pa) = (0.0, 0.0);
+                for (k, (sum_ta, sum_pa)) in by_k.iter().enumerate() {
+                    let w = (1.0 - p).powi(k as i32) * p.powi((slots.len() - k) as i32);
+                    ta += w * sum_ta.to_f64();
+                    pa += w * sum_pa.to_f64();
+                }
+                let dp = level_dp::weak_outcomes(&g, n, &spec, p).expect("eligible");
+                assert!(
+                    (dp.ta - ta).abs() <= 1e-12 && (dp.pa - pa).abs() <= 1e-12,
+                    "{g:?} n={n} {spec:?} p={p}: DP {dp:?} vs brute force ({ta}, {pa})"
+                );
+            }
+        }
+    }
 }

@@ -8,7 +8,7 @@
 //! boundaries, and the `bits == 24` enumeration-boundary run shape.
 
 use coordinated_attack::prelude::*;
-use coordinated_attack::sim::{RandomRun, RunSampler};
+use coordinated_attack::sim::{RandomRun, RunSampler, SlicedSampler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,6 +75,33 @@ fn thin_run(g: &Graph, n: u32, seed: u64) -> Run {
     run
 }
 
+/// iid loss over an arbitrary base run: one `gen_bool(p)` per base slot in
+/// canonical order. That is the `IidDrop` contract, which `WeakAdversary`
+/// meets over the good run only.
+struct IidOver {
+    base: Run,
+    p: f64,
+}
+
+impl RunSampler for IidOver {
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Run {
+        let mut run = self.base.clone();
+        for s in self.base.messages() {
+            if rng.gen_bool(self.p) {
+                run.remove_message(s.from, s.to, s.round);
+            }
+        }
+        run
+    }
+
+    fn sliced(&self) -> Option<SlicedSampler<'_>> {
+        Some(SlicedSampler::IidDrop {
+            base: &self.base,
+            p: self.p,
+        })
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -101,8 +128,8 @@ proptest! {
         let p = drop_pct as f64 / 100.0;
         match sampler_choice {
             0 => check_protocols(proto_choice, &g, &FixedRun::new(base), cfg),
-            1 => check_protocols(proto_choice, &g, &RandomDrop::new(&g, n, p), cfg),
-            _ => check_protocols(proto_choice, &g, &RandomDrop::over(base, p), cfg),
+            1 => check_protocols(proto_choice, &g, &WeakAdversary::iid(&g, n, p), cfg),
+            _ => check_protocols(proto_choice, &g, &IidOver { base, p }, cfg),
         }
     }
 
@@ -148,7 +175,7 @@ fn dispatcher_falls_back_for_unsupported_combinations() {
     let rr = RandomRun::new(g.clone(), 4, 0.8, 0.7);
     assert!(simulate_sliced(&s, &g, &rr, cfg).is_none());
     // Non-counting protocol: no sliced spec.
-    let drop = RandomDrop::new(&g, 4, 0.3);
+    let drop = WeakAdversary::iid(&g, 4, 0.3);
     assert!(simulate_sliced(&ProtocolA::new(4), &g, &drop, cfg).is_none());
     // The dispatcher still answers via the scalar path, and its report is
     // the scalar report.
@@ -164,7 +191,7 @@ fn sliced_reports_are_thread_count_invariant_and_match_the_oracle() {
     // tests/determinism.rs, plus cross-path equality at every width.
     let g = Graph::complete(3).expect("graph");
     let proto = ProtocolS::new(0.125);
-    let sampler = RandomDrop::new(&g, 6, 0.3);
+    let sampler = WeakAdversary::iid(&g, 6, 0.3);
     let base_cfg = SimConfig {
         trials: 600,
         seed: 31,
