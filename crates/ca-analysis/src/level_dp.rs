@@ -17,13 +17,19 @@
 //!   outcome- and dynamics-equivalent, so they collapse onto one class.
 //!
 //! The sweep [`sweep`] runs a transfer over `(structural state → set of
-//! reachable bases)`: per-round transition kernels are derived from the
-//! `2^E` delivery patterns (`E` = directed edges) and **memoized per
-//! structural class**, so the whole 2^inputs × 2^(E·N) run space reduces to
-//! (reachable structs) × (N rounds) kernel applications — polynomial in N.
-//! That computes `max_R Pr[TA|R]` and `max_R Pr[PA|R]` for *every* horizon
-//! up to N exactly, in `ca_core::rational` arithmetic, at scales where
-//! enumeration returns its typed `bits > 24` error.
+//! reachable bases)`: per-round transition kernels are **memoized per
+//! structural class**, so the whole 2^inputs × 2^(E·N) run space (`E` =
+//! directed edges) reduces to (reachable structs) × (N rounds) kernel
+//! applications — polynomial in N. A kernel is built per receiver: a
+//! receiver's next state depends only on its own state and on which of its
+//! in-edges deliver, so the automaton steps once per subset of each
+//! receiver's in-edges (`Σ_j 2^indeg(j)` steps, 32 on K4 against 2^12
+//! delivery patterns) and the successors are the product of the receivers'
+//! distinct outcomes. That computes `max_R Pr[TA|R]` and `max_R Pr[PA|R]`
+//! for *every* horizon up to N exactly — every attack probability of a
+//! spec is an integer over one shared denominator, so extremes are integer
+//! extremes — at scales where enumeration returns its typed `bits > 24`
+//! error.
 //!
 //! [`weak_outcomes`] answers §8's weak adversary with the same classes and
 //! kernels: it replaces the ∀ over runs with an expectation, carrying a
@@ -32,7 +38,7 @@
 //! # Fidelity and the enumeration-as-oracle contract
 //!
 //! Transitions are computed by running the **real**
-//! [`CountingState::process_messages`] on reconstructed states, never a
+//! [`CountingState::process_messages_from`] on reconstructed states, never a
 //! hand-derived transition table. The DP is an *optimization*, not a second
 //! source of truth: on every DP-eligible configuration small enough to
 //! enumerate (`bits ≤ 24`),
@@ -64,9 +70,11 @@ use std::collections::HashMap;
 /// 8 bits reserved for it in the packed structural key.
 pub const MAX_DP_PROCESSES: usize = 8;
 
-/// Most directed edges the sweep supports: kernels enumerate all `2^E`
-/// delivery patterns per structural class, so `E` is capped where that stays
-/// cheap (4096 patterns — K4's 12 directed edges are the largest clique).
+/// Most directed edges the sweep supports. Kernels step the automaton per
+/// receiver, but a structural class can still have one distinct successor
+/// per delivery pattern, so `E` bounds a kernel at `2^E` edges and the
+/// classes its successors intern; 12 keeps that at 4096 (K4's 12 directed
+/// edges are the largest clique).
 pub const MAX_DP_EDGES: usize = 12;
 
 /// Largest firing range `t = 1/ε` (and threshold `θ`) the DP accepts: the
@@ -164,23 +172,46 @@ impl DpSpec {
     /// Exact probability that a process with this final `count` (and token
     /// possession) attacks. Tokenless and count-0 processes never attack.
     pub fn attack_prob(&self, count: u32, has_token: bool) -> Rational {
+        match self.attack_num(count, has_token) {
+            0 => Rational::ZERO,
+            num => Rational::new(num.into(), self.attack_den().into()),
+        }
+    }
+
+    /// The one denominator of every attack probability: `t` for
+    /// [`DpSpec::RandomFire`], 1 for [`DpSpec::Threshold`]. Since all of a
+    /// spec's probabilities share it, the max of `k/D` is `(max k)/D`, so
+    /// extremes are taken over the integer numerators.
+    fn attack_den(&self) -> u64 {
+        match *self {
+            DpSpec::RandomFire { t, .. } => t,
+            DpSpec::Threshold { .. } => 1,
+        }
+    }
+
+    /// The numerator of [`Self::attack_prob`] over [`Self::attack_den`]:
+    /// `clamp(count + slack − offset, 0, t)`, or the 0/1 threshold step.
+    fn attack_num(&self, count: u32, has_token: bool) -> u64 {
         if !has_token || count == 0 {
-            return Rational::ZERO;
+            return 0;
         }
         match *self {
-            DpSpec::RandomFire { offset, t, slack } => Rational::new(
-                i128::from(count) + i128::from(slack) - i128::from(offset),
-                t as i128,
-            )
-            .clamp(Rational::ZERO, Rational::ONE),
-            DpSpec::Threshold { theta } => {
-                if count >= theta {
-                    Rational::ONE
-                } else {
-                    Rational::ZERO
-                }
-            }
+            DpSpec::RandomFire { offset, t, slack } => (u64::from(count) + u64::from(slack))
+                .saturating_sub(u64::from(offset))
+                .min(t),
+            DpSpec::Threshold { theta } => u64::from(count >= theta),
         }
+    }
+
+    /// The `(TA, some attack)` numerators over [`Self::attack_den`] for
+    /// processes with these final `(count, token)` pairs: every attack event
+    /// is driven by the one shared `rfire` draw (or is deterministic), so
+    /// they are nested — `Pr[TA] = min_i p_i`, `Pr[some attack] = max_i p_i`.
+    fn outcome_nums(&self, procs: impl Iterator<Item = (u32, bool)>) -> (u64, u64) {
+        procs.fold((self.attack_den(), 0), |(ta, some), (count, token)| {
+            let k = self.attack_num(count, token);
+            (ta.min(k), some.max(k))
+        })
     }
 
     /// The base at which every counting process (`count ≥ 1`, which implies
@@ -249,21 +280,16 @@ impl DpSpec {
 // Per-run exact outcomes (direct stepping of the real automaton)
 // ---------------------------------------------------------------------------
 
-/// Outcome probabilities from the final joint automaton state: all attack
-/// events are driven by the one shared `rfire` draw (or are deterministic),
-/// so they are nested — `Pr[TA] = min_i p_i`, `Pr[some attack] = max_i p_i`.
+/// Outcome probabilities from the final joint automaton state, by
+/// [`DpSpec::outcome_nums`].
 fn outcome_of(spec: &DpSpec, states: &[CountingState<u8>]) -> ExactOutcome {
-    let mut ta = Rational::ONE;
-    let mut some = Rational::ZERO;
-    for s in states {
-        let p = spec.attack_prob(s.count, s.token.is_some());
-        ta = ta.min(p);
-        some = some.max(p);
-    }
+    let (ta, some) = spec.outcome_nums(states.iter().map(|s| (s.count, s.token.is_some())));
+    let den = spec.attack_den();
+    let rat = |num: u64| Rational::new(num.into(), den.into());
     ExactOutcome {
-        ta,
-        na: Rational::ONE - some,
-        pa: some - ta,
+        ta: rat(ta),
+        na: rat(den - some),
+        pa: rat(some - ta),
     }
 }
 
@@ -357,35 +383,36 @@ pub fn outcomes_with_fallback(
 }
 
 // ---------------------------------------------------------------------------
-// Structural states: packing, normalization, interning
+// Structural states: packing, interning
 // ---------------------------------------------------------------------------
 
-/// Packs the joint automaton state (normalized counts) into the structural
-/// key: 12 bits per process, low process first.
+/// A process's key bits other than its count: valid, token and seen-set.
+fn flag_bits(s: &CountingState<u8>) -> u16 {
+    let seen_mask = s.seen.iter().fold(0u16, |mask, b| mask | 1 << b);
+    (u16::from(s.valid) << 2) | (u16::from(s.token.is_some()) << 3) | (seen_mask << 4)
+}
+
+/// Process `i`'s 12-bit word of the structural key, placed at its offset.
 ///
 /// # Panics
 ///
-/// Panics if a normalized count exceeds 2 — that would break Lemma 6.2's
+/// Panics if the normalized count exceeds 2 — that would break Lemma 6.2's
 /// spread invariant, which the packing relies on.
+fn proc_word(i: usize, count: u32, flags: u16) -> u128 {
+    assert!(
+        count <= 2,
+        "normalized count {count} breaks the Lemma 6.2 spread invariant"
+    );
+    u128::from(count as u16 | flags) << (i as u32 * PROC_BITS)
+}
+
+/// Packs the joint automaton state (normalized counts) into the structural
+/// key: 12 bits per process, low process first.
 fn pack_state(states: &[CountingState<u8>]) -> u128 {
-    let mut key = 0u128;
-    for (i, s) in states.iter().enumerate() {
-        assert!(
-            s.count <= 2,
-            "normalized count {} breaks the Lemma 6.2 spread invariant",
-            s.count
-        );
-        let mut seen_mask = 0u16;
-        for b in s.seen.iter() {
-            seen_mask |= 1 << b;
-        }
-        let w = (s.count as u16)
-            | (u16::from(s.valid) << 2)
-            | (u16::from(s.token.is_some()) << 3)
-            | (seen_mask << 4);
-        key |= u128::from(w) << (i as u32 * PROC_BITS);
-    }
-    key
+    states
+        .iter()
+        .enumerate()
+        .fold(0, |key, (i, s)| key | proc_word(i, s.count, flag_bits(s)))
 }
 
 /// Inverse of [`pack_state`].
@@ -409,30 +436,18 @@ fn unpack_state(key: u128, m: usize) -> Vec<CountingState<u8>> {
         .collect()
 }
 
-/// Shifts all counts down so the minimum positive count sits at exactly 1
-/// (preserving the `count ≥ 1` semantics the automaton branches on);
-/// min-0 states are left untouched. Returns the shift, which the caller
-/// accumulates into the base.
-fn normalize(states: &mut [CountingState<u8>]) -> u32 {
-    let min = states.iter().map(|s| s.count).min().unwrap_or(0);
-    let delta = min.saturating_sub(1);
-    if delta > 0 {
-        for s in states.iter_mut() {
-            s.count -= delta;
-        }
-    }
-    delta
-}
-
 // ---------------------------------------------------------------------------
 // Base sets: reachable common shifts per structural class, clipped
 // ---------------------------------------------------------------------------
 
 /// The set of reachable bases for one structural class: a bitset over
 /// `0..=cap`, where the cap bit is the clip-equivalence class "saturated —
-/// everything fires with probability 1".
+/// everything fires with probability 1". Words past the highest set bit are
+/// not stored, so a set costs what its bases span, and a shift touches only
+/// the words its source occupies.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct BaseSet {
+    /// The words up to the one holding the highest set bit.
     words: Vec<u64>,
     /// Number of distinct base classes (`cap + 1`).
     bits: usize,
@@ -440,20 +455,18 @@ struct BaseSet {
 
 impl BaseSet {
     fn empty(cap: u32) -> Self {
-        let bits = cap as usize + 1;
         BaseSet {
-            words: vec![0; bits.div_ceil(64)],
-            bits,
+            words: Vec::new(),
+            bits: cap as usize + 1,
         }
     }
 
     fn insert(&mut self, b: usize) {
         debug_assert!(b < self.bits);
+        if self.words.len() <= b / 64 {
+            self.words.resize(b / 64 + 1, 0);
+        }
         self.words[b / 64] |= 1 << (b % 64);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
     }
 
     /// Highest reachable base, if any.
@@ -466,25 +479,14 @@ impl BaseSet {
         None
     }
 
-    /// True iff any set bit lies strictly above `threshold`.
-    fn any_bit_above(&self, threshold: usize) -> bool {
-        let start = threshold + 1;
-        if start >= self.bits {
-            return false;
-        }
-        let w0 = start / 64;
-        if self.words[w0] >> (start % 64) != 0 {
-            return true;
-        }
-        self.words[w0 + 1..].iter().any(|&w| w != 0)
-    }
-
     /// All reachable bases, ascending.
     fn iter_bits(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| (w >> b) & 1 == 1)
-                .map(move |b| wi * 64 + b)
+            std::iter::successors((w != 0).then_some(w), |&w| {
+                let rest = w & (w - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |w| wi * 64 + w.trailing_zeros() as usize)
         })
     }
 
@@ -493,31 +495,33 @@ impl BaseSet {
     /// clip-equivalence-class collapse.
     fn or_shifted(&mut self, other: &BaseSet, delta: u32) -> bool {
         debug_assert_eq!(self.bits, other.bits);
+        let Some(top) = other.max_bit() else {
+            return false;
+        };
         let cap = self.bits - 1;
         let delta = delta as usize;
-        let clipped = if delta == 0 {
-            false
-        } else if delta > cap {
-            !other.is_empty()
-        } else {
-            other.any_bit_above(cap - delta)
-        };
+        let clipped = top + delta > cap;
+        // The words the shifted copy reaches, up to the cap's.
+        let end = ((top + delta) / 64 + 1).min(self.bits.div_ceil(64));
+        if self.words.len() < end {
+            self.words.resize(end, 0);
+        }
         let wshift = delta / 64;
         let bshift = (delta % 64) as u32;
-        for wi in (wshift..self.words.len()).rev() {
-            let lo = other.words[wi - wshift];
-            let mut v = if bshift == 0 { lo } else { lo << bshift };
-            if bshift > 0 && wi > wshift {
-                v |= other.words[wi - wshift - 1] >> (64 - bshift);
+        for (wi, word) in self.words[..end].iter_mut().enumerate().skip(wshift) {
+            let src = wi - wshift;
+            let mut v = other.words.get(src).map_or(0, |&w| w << bshift);
+            if bshift > 0 && src > 0 {
+                v |= other.words[src - 1] >> (64 - bshift);
             }
-            self.words[wi] |= v;
-        }
-        // Clear the shifted-past-the-cap bits, then fold them onto the cap.
-        let tail = self.bits % 64;
-        if tail != 0 {
-            *self.words.last_mut().unwrap() &= (1u64 << tail) - 1;
+            *word |= v;
         }
         if clipped {
+            // Clear the shifted-past-the-cap bits, then fold them onto it.
+            let tail = self.bits % 64;
+            if tail != 0 {
+                self.words[end - 1] &= (1u64 << tail) - 1;
+            }
             self.insert(cap);
         }
         clipped
@@ -550,8 +554,8 @@ pub struct DpStats {
     pub states_visited: u64,
     /// Kernel-cache hits (a class revisited in a later round or frontier).
     pub kernel_hits: u64,
-    /// Kernel-cache misses (kernels actually computed: `2^E` pattern
-    /// executions each).
+    /// Kernel-cache misses (kernels actually computed: `Σ_j 2^indeg(j)`
+    /// automaton steps each, one per subset of a receiver's in-edges).
     pub kernel_misses: u64,
     /// Base values folded onto the saturation cap (clip-equivalence
     /// collapses).
@@ -586,34 +590,39 @@ pub struct SweepReport {
     pub stats: DpStats,
 }
 
+/// A memoized transition kernel: the distinct `(successor id, base delta)`
+/// edges of one structural class, stored at their exact size.
+type Kernel = Box<[(u32, u32)]>;
+
+/// The weak adversary's kernel: each edge with its probability.
+type WeightedKernel = Box<[(u32, u32, f64)]>;
+
 /// The sweep engine state, separated so kernels intern successors while the
 /// frontier is being expanded.
 struct Sweeper {
     m: usize,
-    edges: Vec<(usize, usize)>,
+    /// Per receiver: the sender of each of its in-edges.
+    senders: Vec<Vec<usize>>,
     /// Structural key → interned id.
     ids: HashMap<u128, usize>,
     /// id → packed key.
     keys: Vec<u128>,
-    /// id → `(count, token)` per process, for outcome evaluation.
-    procs: Vec<Vec<(u32, bool)>>,
-    /// id → memoized transition kernel: deduped `(successor id, base delta)`
-    /// over all `2^E` delivery patterns.
-    kernels: Vec<Option<Vec<(usize, u32)>>>,
+    /// id → memoized transition kernel.
+    kernels: Vec<Option<Kernel>>,
     stats: DpStats,
 }
 
 impl Sweeper {
     fn new(graph: &Graph) -> Self {
+        let mut senders = vec![Vec::new(); graph.len()];
+        for (from, to) in graph.directed_edges() {
+            senders[to.index()].push(from.index());
+        }
         Sweeper {
             m: graph.len(),
-            edges: graph
-                .directed_edges()
-                .map(|(a, b)| (a.index(), b.index()))
-                .collect(),
+            senders,
             ids: HashMap::new(),
             keys: Vec::new(),
-            procs: Vec::new(),
             kernels: Vec::new(),
             stats: DpStats::default(),
         }
@@ -626,21 +635,14 @@ impl Sweeper {
         let id = self.keys.len();
         self.ids.insert(key, id);
         self.keys.push(key);
-        self.procs.push(
-            unpack_state(key, self.m)
-                .iter()
-                .map(|s| (s.count, s.token.is_some()))
-                .collect(),
-        );
         self.kernels.push(None);
         self.stats.structural_states += 1;
         id
     }
 
-    /// The memoized kernel for structural class `id`: runs the real
-    /// automaton once per delivery pattern and collapses the results to the
-    /// distinct `(successor class, base delta)` edges.
-    fn kernel(&mut self, id: usize, obs: &Metrics) -> &[(usize, u32)] {
+    /// The memoized kernel for structural class `id`: its distinct
+    /// `(successor class, base delta)` edges.
+    fn kernel(&mut self, id: usize, obs: &Metrics) -> &[(u32, u32)] {
         if self.kernels[id].is_some() {
             self.stats.kernel_hits += 1;
             obs.inc(CounterId::ExactDpKernelHits);
@@ -648,76 +650,123 @@ impl Sweeper {
             self.stats.kernel_misses += 1;
             obs.inc(CounterId::ExactDpKernelMisses);
             let _span = obs.span(SpanId::ExactDpKernel);
-            let mut edges: Vec<(usize, u32)> = Vec::new();
-            self.for_each_successor(id, |_, succ, delta| edges.push((succ, delta)));
-            edges.sort_unstable();
-            edges.dedup();
-            self.kernels[id] = Some(edges);
+            let mut edges = Vec::new();
+            // Weights at p = 0 are never read: the strong kernel is the set.
+            self.for_each_successor(id, 0.0, |succ, delta, _| {
+                edges.push((succ as u32, delta));
+            });
+            self.kernels[id] = Some(edges.into_boxed_slice());
         }
         self.kernels[id].as_deref().expect("kernel just ensured")
     }
 
-    /// Runs the real automaton from structural class `id` once per delivery
-    /// pattern (all `2^E` of them) and reports each outcome as
-    /// `(delivered edge count, successor class, base delta)`.
-    fn for_each_successor(&mut self, id: usize, mut visit: impl FnMut(u32, usize, u32)) {
-        let states = unpack_state(self.keys[id], self.m);
+    /// Reports every distinct successor of structural class `id` as
+    /// `(successor class, base delta, weight)`.
+    ///
+    /// In a synchronous round receiver `j`'s next state depends only on its
+    /// own state and on which of its in-edges deliver (Figure 1's
+    /// PROCESS-MESSAGE reads nothing else), so the real automaton steps once
+    /// per subset of each receiver's in-edges — `Σ_j 2^indeg(j)` steps, not
+    /// one per `2^E` delivery pattern — and the successors are the cartesian
+    /// product of the receivers' distinct outcomes. A raw joint state is its
+    /// normalized key plus the delta, so distinct elements are distinct
+    /// `(successor, delta)` pairs: the product needs no dedup. An element's
+    /// weight is its probability when each message is destroyed
+    /// independently with probability `p`: the product over receivers of
+    /// `Σ (1−p)^k p^(indeg−k)` over the subsets giving that receiver's
+    /// outcome.
+    fn for_each_successor(&mut self, id: usize, p: f64, mut visit: impl FnMut(usize, u32, f64)) {
+        let m = self.m;
+        let states = unpack_state(self.keys[id], m);
         let msgs: Vec<CountingMsg<u8>> = states.iter().map(CountingState::to_msg).collect();
-        for pattern in 0u32..1 << self.edges.len() {
-            let mut next = states.clone();
-            for (j, state) in next.iter_mut().enumerate() {
-                let inbox: Vec<CountingMsg<u8>> = self
-                    .edges
-                    .iter()
-                    .enumerate()
-                    .filter(|&(e, &(_, to))| to == j && pattern >> e & 1 == 1)
-                    .map(|(_, &(from, _))| msgs[from].clone())
-                    .collect();
-                if !inbox.is_empty() {
-                    state.process_messages(self.m, ProcessId::new(j as u32), &inbox);
+        // Per receiver: its distinct next states as `(raw count, flag bits,
+        // summed weight)`, in first-seen order.
+        let outcomes: Vec<Vec<(u32, u16, f64)>> = states
+            .iter()
+            .zip(&self.senders)
+            .enumerate()
+            .map(|(j, (state, senders))| {
+                let indeg = senders.len() as i32;
+                let mut distinct: Vec<(u32, u16, f64)> = Vec::new();
+                for subset in 0u32..1 << indeg {
+                    let mut next = state.clone();
+                    if subset != 0 {
+                        let inbox = senders
+                            .iter()
+                            .enumerate()
+                            .filter(move |&(b, _)| subset >> b & 1 == 1)
+                            .map(|(_, &from)| &msgs[from]);
+                        next.process_messages_from(m, ProcessId::new(j as u32), inbox);
+                    }
+                    let k = subset.count_ones() as i32;
+                    let w = (1.0 - p).powi(k) * p.powi(indeg - k);
+                    let flags = flag_bits(&next);
+                    match distinct
+                        .iter_mut()
+                        .find(|o| (o.0, o.1) == (next.count, flags))
+                    {
+                        Some(o) => o.2 += w,
+                        None => distinct.push((next.count, flags, w)),
+                    }
                 }
-            }
-            let delta = normalize(&mut next);
-            let succ = self.intern(pack_state(&next));
-            visit(pattern.count_ones(), succ, delta);
+                distinct
+            })
+            .collect();
+        // Odometer over the product; shift by (min count − 1) to normalize,
+        // so the minimum positive count sits at exactly 1 (the `count ≥ 1`
+        // semantics the automaton branches on).
+        let mut pick = vec![0usize; m];
+        loop {
+            let chosen = || pick.iter().zip(&outcomes).map(|(&c, o)| o[c]);
+            let min = chosen().map(|(count, ..)| count).min().unwrap_or(0);
+            let delta = min.saturating_sub(1);
+            let (key, weight) =
+                chosen()
+                    .enumerate()
+                    .fold((0, 1.0), |(key, weight), (j, (count, flags, w))| {
+                        (key | proc_word(j, count - delta, flags), weight * w)
+                    });
+            visit(self.intern(key), delta, weight);
+            let Some(j) = (0..m).find(|&j| pick[j] + 1 < outcomes[j].len()) else {
+                return;
+            };
+            pick[j] += 1;
+            pick[..j].fill(0);
         }
     }
 
-    /// The weak adversary's kernel for class `id`: every delivery pattern
-    /// weighted by `weights[k]` for its `k` delivered edges, then summed per
-    /// `(successor class, base delta)`. Zero-weight edges are dropped.
-    fn weighted_kernel(&mut self, id: usize, weights: &[f64]) -> Vec<(usize, u32, f64)> {
-        let mut edges: Vec<(usize, u32, f64)> = Vec::new();
-        self.for_each_successor(id, |k, succ, delta| {
-            edges.push((succ, delta, weights[k as usize]));
-        });
-        edges.sort_by_key(|&(succ, delta, _)| (succ, delta));
-        edges.dedup_by(|next, kept| {
-            let same = (next.0, next.1) == (kept.0, kept.1);
-            if same {
-                kept.2 += next.2;
+    /// The weak adversary's kernel for class `id`: every successor with its
+    /// probability when each message is destroyed independently with
+    /// probability `p`. Zero-weight edges are dropped.
+    fn weighted_kernel(&mut self, id: usize, p: f64) -> WeightedKernel {
+        let mut edges = Vec::new();
+        self.for_each_successor(id, p, |succ, delta, w| {
+            if w > 0.0 {
+                edges.push((succ as u32, delta, w));
             }
-            same
         });
-        edges.retain(|&(_, _, w)| w > 0.0);
-        edges
+        edges.into_boxed_slice()
     }
 
-    /// Cheap per-round maximum TA: for a fixed structural class TA is
+    /// The `(TA, some attack)` numerators of class `id` at `base`, over
+    /// [`DpSpec::attack_den`].
+    fn outcome_nums(&self, id: usize, base: usize, spec: &DpSpec) -> (u64, u64) {
+        let key = self.keys[id];
+        spec.outcome_nums((0..self.m).map(|i| {
+            let w = (key >> (i as u32 * PROC_BITS)) as u32;
+            ((w & 0b11) + base as u32, w & 0b1000 != 0)
+        }))
+    }
+
+    /// Cheap per-round certainty test: for a fixed structural class TA is
     /// nondecreasing in the base (every attack probability is), so only the
-    /// highest reachable base matters.
-    fn max_ta(&self, frontier: &[Option<BaseSet>], spec: &DpSpec) -> Rational {
-        let mut best = Rational::ZERO;
-        for (id, slot) in frontier.iter().enumerate() {
-            let Some(bs) = slot else { continue };
-            let Some(base) = bs.max_bit() else { continue };
-            let mut ta = Rational::ONE;
-            for &(count, token) in &self.procs[id] {
-                ta = ta.min(spec.attack_prob(count + base as u32, token));
-            }
-            best = best.max(ta);
-        }
-        best
+    /// highest reachable base matters. True iff some class reaches TA = 1.
+    fn ta_certain(&self, frontier: &[Option<BaseSet>], spec: &DpSpec) -> bool {
+        frontier.iter().enumerate().any(|(id, slot)| {
+            slot.as_ref()
+                .and_then(BaseSet::max_bit)
+                .is_some_and(|base| self.outcome_nums(id, base, spec).0 == spec.attack_den())
+        })
     }
 
     /// Full checkpoint extremes: brute force over every reachable
@@ -730,23 +779,18 @@ impl Sweeper {
         obs: &Metrics,
     ) -> (Rational, Rational) {
         let _span = obs.span(SpanId::ExactDpExtremes);
-        let mut max_ta = Rational::ZERO;
-        let mut max_pa = Rational::ZERO;
+        let mut max_ta = 0;
+        let mut max_pa = 0;
         for (id, slot) in frontier.iter().enumerate() {
             let Some(bs) = slot else { continue };
             for base in bs.iter_bits() {
-                let mut ta = Rational::ONE;
-                let mut some = Rational::ZERO;
-                for &(count, token) in &self.procs[id] {
-                    let p = spec.attack_prob(count + base as u32, token);
-                    ta = ta.min(p);
-                    some = some.max(p);
-                }
+                let (ta, some) = self.outcome_nums(id, base, spec);
                 max_ta = max_ta.max(ta);
                 max_pa = max_pa.max(some - ta);
             }
         }
-        (max_ta, max_pa)
+        let rat = |num: u64| Rational::new(num.into(), spec.attack_den().into());
+        (rat(max_ta), rat(max_pa))
     }
 }
 
@@ -757,9 +801,9 @@ impl Sweeper {
 /// checkpoints, the first horizon achieving liveness 1, and the DP work
 /// statistics.
 ///
-/// Time is `O(rounds · classes · kernel-edges)` plus one `2^E`-pattern
-/// kernel computation per structural class — polynomial in `rounds` where
-/// enumeration is exponential.
+/// Time is `O(rounds · classes · kernel-edges)` plus one kernel computation
+/// (`Σ_j 2^indeg(j)` automaton steps) per structural class — polynomial in
+/// `rounds` where enumeration is exponential.
 pub fn sweep(
     graph: &Graph,
     rounds: u32,
@@ -811,29 +855,35 @@ pub fn sweep(
         };
         record(&sw, &frontier, 0);
 
+        // Base sets expanded in the previous round, cleared for reuse.
+        let mut spare: Vec<BaseSet> = Vec::new();
         for r in 1..=rounds {
             let mut next: Vec<Option<BaseSet>> = Vec::new();
-            next.resize_with(sw.keys.len(), || None);
             for (id, slot) in frontier.iter_mut().enumerate() {
-                let Some(bs) = slot.take() else {
+                let Some(mut bs) = slot.take() else {
                     continue;
                 };
                 sw.stats.states_visited += 1;
                 obs.inc(CounterId::ExactDpStates);
-                let kernel: Vec<(usize, u32)> = sw.kernel(id, &obs).to_vec();
-                if next.len() < sw.keys.len() {
-                    next.resize_with(sw.keys.len(), || None);
-                }
-                for (succ, delta) in kernel {
-                    let slot = next[succ].get_or_insert_with(|| BaseSet::empty(cap));
+                let mut collapses = 0;
+                for &(succ, delta) in sw.kernel(id, &obs) {
+                    let succ = succ as usize;
+                    if next.len() <= succ {
+                        next.resize_with(succ + 1, || None);
+                    }
+                    let slot = next[succ]
+                        .get_or_insert_with(|| spare.pop().unwrap_or_else(|| BaseSet::empty(cap)));
                     if slot.or_shifted(&bs, delta) {
-                        sw.stats.collapses += 1;
+                        collapses += 1;
                         obs.inc(CounterId::ExactDpCollapses);
                     }
                 }
+                sw.stats.collapses += collapses;
+                bs.words.clear();
+                spare.push(bs);
             }
             frontier = next;
-            if first_certain.is_none() && sw.max_ta(&frontier, spec) == Rational::ONE {
+            if first_certain.is_none() && sw.ta_certain(&frontier, spec) {
                 first_certain = Some(r);
             }
             record(&sw, &frontier, r);
@@ -877,9 +927,11 @@ pub struct WeakOutcome {
 /// The same structural classes and real-automaton kernels as [`sweep`], but
 /// the transfer carries a probability mass per `(class, base)` instead of a
 /// set of reachable bases. A delivery pattern with `k` of the `E` directed
-/// edges delivered weighs `(1−p)^k · p^(E−k)`. Mass at bases past the
-/// saturation base folds onto it, exactly as the sweep clips, and nothing is
-/// pruned: the only error is f64 rounding.
+/// edges delivered weighs `(1−p)^k · p^(E−k)`; since losses are independent
+/// per edge, a kernel edge's weight is the product over receivers of the
+/// weights of their own in-edge subsets. Mass at bases past the saturation
+/// base folds onto it, exactly as the sweep clips, and nothing is pruned:
+/// the only error is f64 rounding.
 ///
 /// # Errors
 ///
@@ -899,13 +951,11 @@ pub fn weak_outcomes(
     }
     let cap = spec.saturation_base() as usize;
     let mut sw = Sweeper::new(graph);
-    let e = sw.edges.len() as i32;
-    let weights: Vec<f64> = (0..=e).map(|k| (1.0 - p).powi(k) * p.powi(e - k)).collect();
     let start = sw.intern(pack_state(&initial_states(graph, |_| true)));
     // Per class: the mass at each base, up to the highest base reached.
     let mut mass: Vec<Vec<f64>> = vec![Vec::new(); sw.keys.len()];
     mass[start].push(1.0);
-    let mut kernels: Vec<Option<Vec<(usize, u32, f64)>>> = Vec::new();
+    let mut kernels: Vec<Option<WeightedKernel>> = Vec::new();
     for _ in 0..rounds {
         let mut next: Vec<Vec<f64>> = Vec::new();
         for (id, src) in mass.iter().enumerate() {
@@ -913,13 +963,13 @@ pub fn weak_outcomes(
                 continue;
             }
             if kernels.len() <= id {
-                kernels.resize(id + 1, None);
+                kernels.resize_with(id + 1, || None);
             }
-            let kernel = kernels[id].get_or_insert_with(|| sw.weighted_kernel(id, &weights));
+            let kernel = kernels[id].get_or_insert_with(|| sw.weighted_kernel(id, p));
             next.resize_with(sw.keys.len(), Vec::new);
             for &(succ, delta, w) in kernel.iter() {
                 let delta = delta as usize;
-                let dst = &mut next[succ];
+                let dst = &mut next[succ as usize];
                 let top = (src.len() - 1 + delta).min(cap);
                 if dst.len() <= top {
                     dst.resize(top + 1, 0.0);
@@ -931,18 +981,15 @@ pub fn weak_outcomes(
         }
         mass = next;
     }
+    // `k / D` in f64 is the same correctly rounded quotient as the reduced
+    // fraction's: both operands are exact, and so is the value.
+    let den = spec.attack_den() as f64;
     let mut out = WeakOutcome { ta: 0.0, pa: 0.0 };
     for (id, bases) in mass.iter().enumerate() {
         for (base, &x) in bases.iter().enumerate() {
-            let mut ta = Rational::ONE;
-            let mut some = Rational::ZERO;
-            for &(count, token) in &sw.procs[id] {
-                let q = spec.attack_prob(count + base as u32, token);
-                ta = ta.min(q);
-                some = some.max(q);
-            }
-            out.ta += x * ta.to_f64();
-            out.pa += x * (some - ta).to_f64();
+            let (ta, some) = sw.outcome_nums(id, base, spec);
+            out.ta += x * (ta as f64 / den);
+            out.pa += x * ((some - ta) as f64 / den);
         }
     }
     Ok(out)
@@ -976,9 +1023,148 @@ mod tests {
     use ca_protocols::{FixedThreshold, ProtocolS};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn rat(n: i128, d: i128) -> Rational {
         Rational::new(n, d)
+    }
+
+    /// The reference kernel: steps `process_messages` for every receiver
+    /// under each of the `2^E` delivery patterns, shifts the counts so the
+    /// minimum positive count is 1, and sums each pattern's weight
+    /// `(1−p)^k p^(E−k)` per `(successor key, delta)`, one sum per `p`. The
+    /// sums are compensated (Neumaier), so that over thousands of patterns
+    /// the reference stays more accurate than the kernel it checks.
+    fn per_pattern_kernel(graph: &Graph, key: u128, ps: &[f64]) -> BTreeMap<(u128, u32), Vec<f64>> {
+        let m = graph.len();
+        let edges: Vec<(usize, usize)> = graph
+            .directed_edges()
+            .map(|(a, b)| (a.index(), b.index()))
+            .collect();
+        let e = edges.len() as i32;
+        let states = unpack_state(key, m);
+        let msgs: Vec<CountingMsg<u8>> = states.iter().map(CountingState::to_msg).collect();
+        let mut kernel = BTreeMap::new();
+        for pattern in 0u32..1 << e {
+            let mut next = states.clone();
+            for (j, state) in next.iter_mut().enumerate() {
+                let inbox: Vec<CountingMsg<u8>> = edges
+                    .iter()
+                    .enumerate()
+                    .filter(|&(e, &(_, to))| to == j && pattern >> e & 1 == 1)
+                    .map(|(_, &(from, _))| msgs[from].clone())
+                    .collect();
+                if !inbox.is_empty() {
+                    state.process_messages(m, ProcessId::new(j as u32), &inbox);
+                }
+            }
+            let min = next.iter().map(|s| s.count).min().unwrap_or(0);
+            let delta = min.saturating_sub(1);
+            for s in &mut next {
+                s.count -= delta;
+            }
+            let k = pattern.count_ones() as i32;
+            let sums = kernel
+                .entry((pack_state(&next), delta))
+                .or_insert_with(|| vec![(0.0, 0.0); ps.len()]);
+            for ((sum, carry), &p) in sums.iter_mut().zip(ps) {
+                let x = (1.0 - p).powi(k) * p.powi(e - k);
+                let total = *sum + x;
+                *carry += if sum.abs() >= x {
+                    (*sum - total) + x
+                } else {
+                    (x - total) + *sum
+                };
+                *sum = total;
+            }
+        }
+        kernel
+            .into_iter()
+            .map(|(edge, sums)| (edge, sums.iter().map(|(sum, carry)| sum + carry).collect()))
+            .collect()
+    }
+
+    /// A sweeper holding every class a sweep of `rounds` on `graph` interns,
+    /// discovered breadth first.
+    fn interned_classes(graph: &Graph, rounds: u32) -> Sweeper {
+        let mut sw = Sweeper::new(graph);
+        for mask in 0u32..1 << graph.len() {
+            sw.intern(pack_state(&initial_states(graph, |i| {
+                mask >> i.index() & 1 == 1
+            })));
+        }
+        let obs = Metrics::new();
+        let mut depth = vec![0; sw.keys.len()];
+        let mut id = 0;
+        while id < sw.keys.len() {
+            if depth[id] < rounds {
+                sw.kernel(id, &obs);
+                depth.resize(sw.keys.len(), depth[id] + 1);
+            }
+            id += 1;
+        }
+        sw
+    }
+
+    #[test]
+    fn product_kernels_match_the_per_pattern_loop() {
+        let ps = [0.1, 0.35, 0.0, 1.0];
+        let obs = Metrics::new();
+        let cases = [
+            (Graph::complete(2), 4, usize::MAX),
+            (Graph::complete(3), 4, usize::MAX),
+            (Graph::ring(4), 2, usize::MAX),
+            (Graph::ring(5), 1, usize::MAX),
+            (Graph::star(4), 4, usize::MAX),
+            (Graph::line(3), 4, usize::MAX),
+            (Graph::complete(4), 1, 32),
+        ];
+        for (graph, rounds, limit) in cases {
+            let graph = graph.unwrap();
+            let mut sw = interned_classes(&graph, rounds);
+            for id in 0..sw.keys.len().min(limit) {
+                let reference = per_pattern_kernel(&graph, sw.keys[id], &ps);
+                let strong = sw.kernel(id, &obs).to_vec();
+                let mut got: Vec<(u128, u32)> = strong
+                    .iter()
+                    .map(|&(succ, delta)| (sw.keys[succ as usize], delta))
+                    .collect();
+                got.sort_unstable();
+                got.dedup();
+                assert_eq!(got.len(), strong.len(), "duplicate kernel edges");
+                assert!(
+                    got.iter().eq(reference.keys()),
+                    "class {id} of {graph:?}: strong kernel differs"
+                );
+                for (i, &p) in ps.iter().enumerate() {
+                    let weighted = sw.weighted_kernel(id, p);
+                    let got: BTreeMap<(u128, u32), f64> = weighted
+                        .iter()
+                        .map(|&(succ, delta, w)| ((sw.keys[succ as usize], delta), w))
+                        .collect();
+                    assert_eq!(got.len(), weighted.len(), "duplicate weighted edges");
+                    let want: BTreeMap<(u128, u32), f64> = reference
+                        .iter()
+                        .filter(|(_, w)| w[i] > 0.0)
+                        .map(|(&edge, w)| (edge, w[i]))
+                        .collect();
+                    assert!(
+                        got.keys().eq(want.keys()),
+                        "class {id} of {graph:?} at p = {p}: weighted edges differ"
+                    );
+                    for (edge, (&g, &w)) in got.keys().zip(got.values().zip(want.values())) {
+                        if p == 0.0 || p == 1.0 {
+                            assert_eq!(g.to_bits(), w.to_bits(), "{edge:?} at p = {p}");
+                        } else {
+                            assert!(
+                                (g - w).abs() <= 1e-14 * w,
+                                "{edge:?} at p = {p}: {g} vs {w}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -307,6 +307,25 @@ impl Default for Opts {
     }
 }
 
+impl Opts {
+    /// The firing range `t = 1/ε` for the commands that analyse an integer
+    /// `t` (`exact`, `chaos`, `hunt`, `serve`). An `--epsilon` whose
+    /// reciprocal is not an integer (within 1e-9, relative) is an error
+    /// rather than silently rounded to a different ε.
+    fn integer_t(&self) -> Result<u64, String> {
+        let t = self.t as f64;
+        if (1.0 / self.epsilon - t).abs() <= 1e-9 * t {
+            Ok(self.t)
+        } else {
+            Err(format!(
+                "--epsilon {} is not 1/t for an integer t, and this command \
+                 analyses ε = 1/t exactly; pass the firing range with --t",
+                self.epsilon
+            ))
+        }
+    }
+}
+
 /// Parses `value` as the number `flag` takes.
 fn num<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
     value.parse().map_err(|_| format!("bad {flag}"))
@@ -675,10 +694,11 @@ fn simulate_cmd(opts: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
 }
 
 fn exact_cmd(opts: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
+    let t = opts.integer_t()?;
     if !opts.sweep {
-        let out = protocol_s_outcomes(graph, run, opts.t);
+        let out = protocol_s_outcomes(graph, run, t);
         let ml = modified_levels(run).min_level();
-        println!("ML(R) = {ml}, ε = 1/{}", opts.t);
+        println!("ML(R) = {ml}, ε = 1/{t}");
         println!(
             "Pr[TA|R] = {}   Pr[NA|R] = {}   Pr[PA|R] = {}",
             out.ta, out.na, out.pa
@@ -693,7 +713,7 @@ fn exact_cmd(opts: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
         .filter(|&c| c >= 1)
         .collect();
     checkpoints.dedup();
-    let report = level_dp::sweep(graph, n, &DpSpec::protocol_s(opts.t), &checkpoints)
+    let report = level_dp::sweep(graph, n, &DpSpec::protocol_s(t), &checkpoints)
         .map_err(|e| e.to_string())?;
     publish(&report, opts, |json| println!("{json}"))
 }
@@ -703,7 +723,7 @@ fn chaos_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
         schedules: opts.schedules,
         seed: opts.seed,
         deadline: opts.deadline,
-        t: opts.t,
+        t: opts.integer_t()?,
         max_faults: opts.max_faults,
         threads: opts.threads,
         mc_trials: opts.mc_trials,
@@ -730,7 +750,7 @@ fn hunt_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
         config.budget = b;
     }
     config.rounds = opts.rounds;
-    config.t = opts.t;
+    config.t = opts.integer_t()?;
     config.max_faults = opts.max_faults;
     config.threads = opts.threads;
     config.elites = (config.population / 6).max(2).min(config.population);
@@ -853,16 +873,17 @@ fn profile_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
 }
 
 fn serve_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
+    let t = opts.integer_t()?;
     // Base config: the fixed smoke preset (chaos schedule + open-loop
     // overload) or a plain reliable closed-loop service sized by --graph.
     // Explicit flags override either base.
     let mut config = if opts.smoke {
         ServeConfig::smoke(opts.seed)
     } else {
-        ServeConfig::new(graph.len(), opts.t, 512, opts.seed)
+        ServeConfig::new(graph.len(), t, 512, opts.seed)
     };
     if opts.smoke && opts.t_set {
-        config.t = opts.t;
+        config.t = t;
     }
     if opts.deadline_set {
         config.deadline = opts.deadline;

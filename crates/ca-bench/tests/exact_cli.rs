@@ -3,9 +3,10 @@
 //!
 //! Pins the byte-stability contract of the level-DP sweep report: same
 //! `(graph, rounds, t)` ⟹ byte-identical JSON (exact rationals, no clocks),
-//! which is what makes the `--compare` drift gate meaningful. Also pins the
-//! headline capability: a sweep at `--rounds 100` succeeds where run
-//! enumeration would refuse (`2^(3 + 6·100)` executions on K3).
+//! which is what makes the `--compare` drift gate meaningful, and pins four
+//! reports byte for byte against checked-in goldens. Also pins the headline
+//! capability: a sweep at `--rounds 100` succeeds where run enumeration
+//! would refuse (`2^(3 + 6·100)` executions on K3).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -18,6 +19,92 @@ fn tmp_path(name: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
     path.push(format!("ca_exact_cli_{}_{name}.json", std::process::id()));
     path
+}
+
+fn golden(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+/// The checked-in sweep goldens: `(graph, rounds, t, file)`. An intended
+/// change to the DP's output regenerates them with `--out` and says why.
+const GOLDENS: &[(&str, &str, &str, &str)] = &[
+    // §8's headline instance: the frontier-bound K3 at N = t = 1000.
+    ("k3", "1000", "1000", "exact_k3_n1000_t1000.json"),
+    // Kernel-bound: K4's 12 directed edges, the most the DP accepts.
+    ("k4", "2", "2", "exact_k4_n2_t2.json"),
+    // The saturation clip path: N = 2t folds bases onto the cap.
+    ("k4", "6", "3", "exact_k4_n6_t3.json"),
+    // A sparse graph at the edge cap, with the most classes per round.
+    ("ring6", "4", "3", "exact_ring6_n4_t3.json"),
+];
+
+#[test]
+fn sweep_reports_match_the_checked_in_goldens() {
+    for &(graph, rounds, t, file) in GOLDENS {
+        let out = tmp_path(&format!("golden_{graph}_{rounds}_{t}"));
+        let output = ca_bin()
+            .args([
+                "exact", "--sweep", "--graph", graph, "--rounds", rounds, "--t", t, "--out",
+            ])
+            .arg(&out)
+            .output()
+            .expect("run ca exact --sweep");
+        assert!(
+            output.status.success(),
+            "{file}: ca exact --sweep exited with {}: {}",
+            output.status,
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let got = std::fs::read(&out).expect("read the report");
+        let want = std::fs::read(golden(file)).expect("read the golden");
+        assert!(
+            got == want,
+            "{file}: the sweep report drifted from the golden"
+        );
+        let _ = std::fs::remove_file(&out);
+    }
+}
+
+/// The memoized kernels of a sparse graph fit a small address space: ring6
+/// at N = 4 interns thousands of classes, each with its own kernel, and must
+/// still finish under a 256 MiB `ulimit -v`.
+#[cfg(target_os = "linux")]
+#[test]
+fn sparse_sweep_fits_a_256_mib_address_space() {
+    let out = tmp_path("ring6_capped");
+    let output = Command::new("sh")
+        .args([
+            "-c",
+            "ulimit -v 262144; exec \"$0\" \"$@\"",
+            env!("CARGO_BIN_EXE_ca"),
+            "exact",
+            "--sweep",
+            "--graph",
+            "ring6",
+            "--rounds",
+            "4",
+            "--t",
+            "3",
+            "--out",
+        ])
+        .arg(&out)
+        .output()
+        .expect("run ca under a capped address space");
+    assert!(
+        output.status.success(),
+        "ca exact --sweep under ulimit -v exited with {}: {}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let got = std::fs::read(&out).expect("read the report");
+    let want = std::fs::read(golden("exact_ring6_n4_t3.json")).expect("read the golden");
+    assert!(
+        got == want,
+        "the capped ring6 report drifted from the golden"
+    );
+    let _ = std::fs::remove_file(&out);
 }
 
 #[test]

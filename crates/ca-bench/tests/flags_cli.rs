@@ -20,6 +20,13 @@ fn malformed_numeric_flags_are_rejected() {
         &["exact", "--epsilon", "NaN"],
         &["exact", "--epsilon", "inf"],
         &["exact", "--epsilon", "1.5"],
+        // 1/ε is not an integer: the integer-t commands would analyse a
+        // rounded ε (1/3 for 0.3, 1/1 for 0.7) under the flag's name.
+        &["exact", "--epsilon", "0.3"],
+        &["exact", "--sweep", "--epsilon", "0.4"],
+        &["hunt", "--epsilon", "0.7"],
+        &["chaos", "--epsilon", "0.3", "--schedules", "2"],
+        &["serve", "--smoke", "--epsilon", "0.3"],
         &["simulate", "--t", "0"],
         &["trace", "--t", "0"],
         // Would turn every schedule into a caught worker panic.
@@ -42,6 +49,11 @@ fn boundary_values_are_accepted() {
     for args in [
         &["exact", "--epsilon", "1"][..],
         &["exact", "--t", "1"],
+        // Reciprocals that are integers up to float rounding.
+        &["exact", "--epsilon", "0.1"],
+        &["exact", "--epsilon", "0.001"],
+        // `simulate` and `trace` take any ε in (0, 1].
+        &["simulate", "--epsilon", "0.3", "--trials", "100"],
         &["levels", "--graph", "k3", "--drop-link", "0:2:1"],
     ] {
         let output = ca(args);
