@@ -13,16 +13,19 @@
 //! * **Protocol A** — the only randomness is `rfire ~ U{2..N}`; we execute
 //!   the real protocol once per possible value and tally.
 //!
-//! To stay grounded in the implementation (not just the math), the Protocol S
-//! analysis *executes the protocol* to read off the final counts and token
-//! possession, then integrates over `rfire` analytically.
+//! The Protocol S functions read the final counts and token possession from
+//! [`crate::level_dp::run_outcomes`]'s engine, which steps the real
+//! Figure 1 automaton over the run, and integrate over `rfire` with
+//! [`DpSpec`]'s firing rule. `tests/level_dp_differential.rs` holds that
+//! engine to executions of `ProtocolS` itself.
 
+use crate::level_dp::{final_states, run_outcomes, DpSpec};
 use ca_core::exec::execute;
 use ca_core::graph::Graph;
 use ca_core::rational::Rational;
 use ca_core::run::Run;
 use ca_core::tape::{BitTape, TapeSet};
-use ca_protocols::{ProtocolA, ProtocolS};
+use ca_protocols::ProtocolA;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -53,66 +56,17 @@ impl fmt::Display for ExactOutcome {
     }
 }
 
-/// Exact outcome probabilities of **Protocol S** with `ε = 1/t` on `run`.
+/// Exact outcome probabilities of **Protocol S** with `ε = 1/t` on `run`:
+/// [`run_outcomes`] under [`DpSpec::protocol_s`].
 ///
-/// `t` must be a positive integer (the experiments use `ε = 1/t` throughout;
-/// arbitrary rational `ε` would work the same way but is not needed).
-///
-/// The final counts and token possession are read from a real execution
-/// (they do not depend on the sampled `rfire` value), then the uniform
-/// `rfire ∈ (0, t]` is integrated exactly.
+/// The final counts and token possession do not depend on the sampled
+/// `rfire` value, so the uniform `rfire ∈ (0, t]` is integrated exactly.
 ///
 /// # Panics
 ///
-/// Panics if `t == 0` or dimensions mismatch.
+/// Panics if `t == 0` or [`Run::validate`] rejects `run` on `graph`.
 pub fn protocol_s_outcomes(graph: &Graph, run: &Run, t: u64) -> ExactOutcome {
-    protocol_s_outcomes_slack(graph, run, t, 0)
-}
-
-/// Exact outcome probabilities of the slack-generalized Protocol S family
-/// (attack iff `count ≥ 1` and `count + slack ≥ rfire`): slack 0 is
-/// Protocol S, slack 1 is [`ProtocolS::eager`].
-///
-/// # Panics
-///
-/// Panics if `t == 0` or dimensions mismatch.
-pub fn protocol_s_outcomes_slack(graph: &Graph, run: &Run, t: u64, slack: u32) -> ExactOutcome {
-    assert!(t > 0, "t = 1/epsilon must be positive");
-    let epsilon = 1.0 / t as f64;
-    let proto = ProtocolS::new(epsilon);
-
-    // Any tape will do: counts and token possession are rfire-independent.
-    let tapes = TapeSet::from_tapes(
-        (0..graph.len())
-            .map(|_| BitTape::from_words(vec![0x0123_4567_89AB_CDEF]))
-            .collect(),
-    );
-    let ex = execute(&proto, graph, run, &tapes);
-
-    // Final counts; a process can attack only with the token and count ≥ 1.
-    // Thresholds are count + slack; rfire ~ U(0, t].
-    let t_rat = Rational::new(t as i128, 1);
-    let clamp = |threshold: u32| Rational::from(threshold).min(t_rat) / t_rat;
-
-    let mut ta: Option<Rational> = Some(Rational::ONE); // min over processes
-    let mut some = Rational::ZERO; // max over attackable processes
-    for i in graph.vertices() {
-        let state = ex.local(i).states.last().expect("final state");
-        let attackable = state.token.is_some() && state.count >= 1;
-        if attackable {
-            let p = clamp(state.count + slack);
-            some = some.max(p);
-            ta = ta.map(|v| v.min(p));
-        } else {
-            ta = None; // this process never attacks: TA impossible
-        }
-    }
-    let ta = ta.unwrap_or(Rational::ZERO);
-    ExactOutcome {
-        ta,
-        na: Rational::ONE - some,
-        pa: some - ta,
-    }
+    run_outcomes(graph, run, &DpSpec::protocol_s(t)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Exact outcome probabilities of **Protocol A** (horizon `n`) on `run`,
@@ -154,7 +108,8 @@ pub fn protocol_a_outcomes(graph: &Graph, run: &Run, n: u32) -> ExactOutcome {
 }
 
 /// Exact per-process decision probabilities `Pr[D_i|R]` of Protocol S on
-/// `run`: `min(1, ε·count_i)` for token holders with `count ≥ 1`, else 0.
+/// `run`: `min(1, ε·count_i)` for token holders with `count ≥ 1`, else 0 —
+/// [`DpSpec::attack_prob`] of each final state.
 ///
 /// These are the quantities the paper's elementary Lemmas 2.2 and 2.3 bound:
 /// `Pr[D_i|R] − Pr[D_j|R] ≤ U_s(F)` and `L(F,R) ≤ Pr[D_i|R]` — asserted over
@@ -162,27 +117,13 @@ pub fn protocol_a_outcomes(graph: &Graph, run: &Run, n: u32) -> ExactOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `t == 0` or dimensions mismatch.
+/// Panics if `t == 0` or [`Run::validate`] rejects `run` on `graph`.
 pub fn protocol_s_decision_probabilities(graph: &Graph, run: &Run, t: u64) -> Vec<Rational> {
-    assert!(t > 0, "t = 1/epsilon must be positive");
-    let proto = ProtocolS::new(1.0 / t as f64);
-    let tapes = TapeSet::from_tapes(
-        (0..graph.len())
-            .map(|_| BitTape::from_words(vec![0x0123_4567_89AB_CDEF]))
-            .collect(),
-    );
-    let ex = execute(&proto, graph, run, &tapes);
-    let t_rat = Rational::new(t as i128, 1);
-    graph
-        .vertices()
-        .map(|i| {
-            let state = ex.local(i).states.last().expect("final state");
-            if state.token.is_some() && state.count >= 1 {
-                Rational::from(state.count).min(t_rat) / t_rat
-            } else {
-                Rational::ZERO
-            }
-        })
+    let spec = DpSpec::protocol_s(t);
+    let states = final_states(graph, run, &spec).unwrap_or_else(|e| panic!("{e}"));
+    states
+        .iter()
+        .map(|s| spec.attack_prob(s.count, s.token.is_some()))
         .collect()
 }
 

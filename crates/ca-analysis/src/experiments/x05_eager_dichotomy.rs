@@ -15,7 +15,8 @@
 //! which is the theorem's content.
 
 use super::{Experiment, ExperimentResult, Scale};
-use crate::exact::{protocol_s_outcomes_slack, protocol_s_worst_pa};
+use crate::exact::protocol_s_worst_pa;
+use crate::level_dp::{run_outcomes, DpSpec};
 use crate::report::{fmt_estimate, Table};
 use crate::runs::{leader_only_input_run, ml_staircase, tree_run};
 use ca_core::graph::Graph;
@@ -52,6 +53,9 @@ impl Experiment for EagerDichotomy {
             "above frontier?",
         ]);
         let mut passed = true;
+        let exact = |run: &Run, spec: DpSpec| {
+            run_outcomes(&graph, run, &spec).expect("X5's runs are valid on K3")
+        };
 
         // Arm 1: eager's liveness beats the frontier on every ML ≥ 1 run.
         let mut runs: Vec<(String, Run)> =
@@ -62,8 +66,8 @@ impl Experiment for EagerDichotomy {
         for (name, run) in &runs {
             let ml = modified_levels(run).min_level();
             let frontier = (eps * Rational::from(ml)).min(Rational::ONE);
-            let live_s = protocol_s_outcomes_slack(&graph, run, t, 0).ta;
-            let live_e = protocol_s_outcomes_slack(&graph, run, t, 1).ta;
+            let live_s = exact(run, DpSpec::protocol_s(t)).ta;
+            let live_e = exact(run, DpSpec::eager(t)).ta;
             let above = live_e > frontier;
             if ml >= 1 && frontier < Rational::ONE {
                 passed &= above;
@@ -92,7 +96,7 @@ impl Experiment for EagerDichotomy {
         let mut worst_e = Rational::ZERO;
         let mut worst_idx = 0;
         for (k, run) in family.iter().enumerate() {
-            let pa = protocol_s_outcomes_slack(&graph, run, t, 1).pa;
+            let pa = exact(run, DpSpec::eager(t)).pa;
             if pa > worst_e {
                 worst_e = pa;
                 worst_idx = k;

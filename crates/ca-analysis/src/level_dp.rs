@@ -35,6 +35,12 @@
 //! kernels: it replaces the ∀ over runs with an expectation, carrying a
 //! probability mass per `(class, base)` instead of a set of reachable bases.
 //!
+//! [`run_outcomes`] is the per-run engine behind every exact outcome of the
+//! Figure 1 family: it steps the same automaton over one fixed run, and
+//! [`DpSpec::outcome`] integrates the firing rule over the final counts and
+//! tokens. [`crate::exact::protocol_s_outcomes`], the hunt's ranking and the
+//! asynchronous closed form all read their outcomes from those two.
+//!
 //! # Fidelity and the enumeration-as-oracle contract
 //!
 //! Transitions are computed by running the **real**
@@ -43,8 +49,9 @@
 //! source of truth: on every DP-eligible configuration small enough to
 //! enumerate (`bits ≤ 24`),
 //!
-//! * [`run_outcomes`] must equal the closed forms in [`crate::exact`] and
-//!   the executed protocol,
+//! * [`run_outcomes`] must equal the executed protocol — `ProtocolS` through
+//!   the generic engine, exhaustively enumerated `GridS` tapes and the
+//!   executed `FixedThreshold` indicator,
 //! * [`sweep`] must equal [`worst_case_by_enumeration`] (brute force over
 //!   [`Run::try_enumerate_all`]), and
 //! * [`weak_outcomes`] must equal the probability-weighted sum of
@@ -60,7 +67,6 @@ use ca_core::graph::Graph;
 use ca_core::ids::{ProcessId, Round};
 use ca_core::rational::Rational;
 use ca_core::run::Run;
-use ca_core::SlicedSpec;
 use ca_obs::{CounterId, Metrics, SpanId};
 use ca_protocols::counting::{CountingMsg, CountingState};
 use serde::{Deserialize, Serialize};
@@ -77,9 +83,11 @@ pub const MAX_DP_PROCESSES: usize = 8;
 /// edges are the largest clique).
 pub const MAX_DP_EDGES: usize = 12;
 
-/// Largest firing range `t = 1/ε` (and threshold `θ`) the DP accepts: the
-/// base set holds one bit per un-saturated base value, so this bounds its
-/// footprint at 8 KiB per structural class.
+/// Largest firing range `t = 1/ε` (and threshold `θ`) the all-runs passes
+/// ([`sweep`], [`weak_outcomes`]) accept: a base set holds one bit, and a
+/// weighted mass vector one `f64`, per un-saturated base value, so this
+/// bounds a structural class's footprint at 8 KiB of bits. Per-run
+/// evaluation ([`run_outcomes`]) keeps no base sets and takes any `t`.
 pub const MAX_DP_T: u64 = 1 << 16;
 
 /// Bits per process in the packed structural key: 2 (normalized count)
@@ -87,7 +95,7 @@ pub const MAX_DP_T: u64 = 1 << 16;
 const PROC_BITS: u32 = 12;
 
 /// A DP-eligible output rule: the integer-parameter mirror of
-/// [`SlicedSpec`]. Both supported protocol families are the Figure-1
+/// [`ca_core::SlicedSpec`]. Both supported protocol families are the Figure-1
 /// counting automaton; only the firing rule differs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DpSpec {
@@ -146,29 +154,6 @@ impl DpSpec {
         DpSpec::Threshold { theta }
     }
 
-    /// Converts a sliced-engine spec when its parameters are exactly
-    /// representable: `offset ∈ {0, 1}` and `t` a positive integer within
-    /// [`MAX_DP_T`]. Returns `None` otherwise — the caller falls back to the
-    /// scalar path, mirroring the sliced engine's own eligibility contract.
-    pub fn from_sliced(spec: SlicedSpec) -> Option<DpSpec> {
-        match spec {
-            SlicedSpec::RandomFire { offset, t, slack } => {
-                if offset != 0.0 && offset != 1.0 {
-                    return None;
-                }
-                if !(t >= 1.0 && t <= MAX_DP_T as f64 && t.fract() == 0.0) {
-                    return None;
-                }
-                Some(DpSpec::RandomFire {
-                    offset: offset as u32,
-                    t: t as u64,
-                    slack,
-                })
-            }
-            SlicedSpec::Threshold { theta } => Some(DpSpec::Threshold { theta }),
-        }
-    }
-
     /// Exact probability that a process with this final `count` (and token
     /// possession) attacks. Tokenless and count-0 processes never attack.
     pub fn attack_prob(&self, count: u32, has_token: bool) -> Rational {
@@ -214,6 +199,24 @@ impl DpSpec {
         })
     }
 
+    /// Exact outcome probabilities of processes that end a run with these
+    /// final `(count, token)` pairs — Lemma 6.4's closed form: `Pr[TA|R]` is
+    /// the least attack probability and `Pr[PA|R]` the gap up to the
+    /// greatest (Theorems 6.7 and 6.8). Every per-run exact outcome of the
+    /// Figure 1 family, synchronous or asynchronous, is read through this
+    /// method. No processes, no attack.
+    pub fn outcome(&self, procs: impl IntoIterator<Item = (u32, bool)>) -> ExactOutcome {
+        let (ta, some) = self.outcome_nums(procs.into_iter());
+        let den = self.attack_den();
+        let rat = |num: u64| Rational::new(num.into(), den.into());
+        let ta = ta.min(some);
+        ExactOutcome {
+            ta: rat(ta),
+            na: rat(den - some),
+            pa: rat(some - ta),
+        }
+    }
+
     /// The base at which every counting process (`count ≥ 1`, which implies
     /// token possession) fires with probability exactly 1, whatever its
     /// normalized count. Bases at or past this value are clip-equivalent:
@@ -229,13 +232,19 @@ impl DpSpec {
         }
     }
 
-    /// Validates the firing-rule parameters.
+    /// Validates the firing-rule parameters: a positive `t` with validity
+    /// offset 0 or 1, or a positive `θ`.
     pub fn validate_params(&self) -> Result<(), CaError> {
+        self.validate_range(u64::MAX)
+    }
+
+    /// [`Self::validate_params`] with `t` (or `θ`) also at most `max`.
+    fn validate_range(&self, max: u64) -> Result<(), CaError> {
         match *self {
             DpSpec::RandomFire { offset, t, .. } => {
-                if t == 0 || t > MAX_DP_T {
+                if t == 0 || t > max {
                     return Err(CaError::malformed(format!(
-                        "DP firing range t = {t} outside 1..={MAX_DP_T}"
+                        "DP firing range t = {t} outside 1..={max}"
                     )));
                 }
                 if offset > 1 {
@@ -245,9 +254,9 @@ impl DpSpec {
                 }
             }
             DpSpec::Threshold { theta } => {
-                if theta == 0 || u64::from(theta) > MAX_DP_T {
+                if theta == 0 || u64::from(theta) > max {
                     return Err(CaError::malformed(format!(
-                        "DP threshold θ = {theta} outside 1..={MAX_DP_T}"
+                        "DP threshold θ = {theta} outside 1..={max}"
                     )));
                 }
             }
@@ -255,11 +264,12 @@ impl DpSpec {
         Ok(())
     }
 
-    /// Validates parameters *and* the graph's fit for the all-runs sweep
-    /// (`m ≤ 8` for the packed seen-sets, `E ≤ 12` for the kernel's
-    /// delivery-pattern enumeration).
+    /// Validates parameters *and* the instance's fit for the all-runs passes
+    /// ([`sweep`], [`weak_outcomes`]): `t` or `θ` within [`MAX_DP_T`] for the
+    /// base sets, `m ≤ 8` for the packed seen-sets, and `E ≤ 12` for the
+    /// successors a kernel can have.
     pub fn validate_for_sweep(&self, graph: &Graph) -> Result<(), CaError> {
-        self.validate_params()?;
+        self.validate_range(MAX_DP_T)?;
         let m = graph.len();
         if !(2..=MAX_DP_PROCESSES).contains(&m) {
             return Err(CaError::malformed(format!(
@@ -280,19 +290,6 @@ impl DpSpec {
 // Per-run exact outcomes (direct stepping of the real automaton)
 // ---------------------------------------------------------------------------
 
-/// Outcome probabilities from the final joint automaton state, by
-/// [`DpSpec::outcome_nums`].
-fn outcome_of(spec: &DpSpec, states: &[CountingState<u8>]) -> ExactOutcome {
-    let (ta, some) = spec.outcome_nums(states.iter().map(|s| (s.count, s.token.is_some())));
-    let den = spec.attack_den();
-    let rat = |num: u64| Rational::new(num.into(), den.into());
-    ExactOutcome {
-        ta: rat(ta),
-        na: rat(den - some),
-        pa: rat(some - ta),
-    }
-}
-
 /// The automata before round 1: the leader holds the token, and a process
 /// is valid iff `has_input` says its input arrived.
 fn initial_states(graph: &Graph, has_input: impl Fn(ProcessId) -> bool) -> Vec<CountingState<u8>> {
@@ -305,29 +302,34 @@ fn initial_states(graph: &Graph, has_input: impl Fn(ProcessId) -> bool) -> Vec<C
         .collect()
 }
 
-/// Exact outcome probabilities of the DP-eligible protocol `spec` on one
-/// fixed run, by stepping the real [`CountingState`] automaton once per
-/// round (counts and token possession are `rfire`-independent) and
-/// integrating the firing rule analytically.
+/// The `(count, token)` pairs [`DpSpec`]'s firing rule reads.
+fn counts_and_tokens(states: &[CountingState<u8>]) -> impl Iterator<Item = (u32, bool)> + '_ {
+    states.iter().map(|s| (s.count, s.token.is_some()))
+}
+
+/// The joint automaton state at the end of `run`: the real
+/// [`CountingState`] stepped once per round over the run's deliveries
+/// (counts and token possession are `rfire`-independent). Stops early once
+/// every process fires with probability 1 under `spec`: counts never
+/// decrease and the token is never revoked, so every attack probability
+/// stays 1.
 ///
-/// Equivalent to [`crate::exact::protocol_s_outcomes_slack`] on the
-/// Protocol S family, but also covers the message-validity offset and the
-/// deterministic threshold rule, and exits early once every process fires
-/// with probability 1 (probabilities are monotone in the round: counts never
-/// decrease and the token is never revoked).
-pub fn run_outcomes(graph: &Graph, run: &Run, spec: &DpSpec) -> Result<ExactOutcome, CaError> {
+/// # Errors
+///
+/// [`DpSpec::validate_params`], and [`CaError::Model`] for a run that
+/// [`Run::validate`] rejects on `graph` (a process-count mismatch, or a
+/// slot on a non-edge or outside the horizon).
+pub(crate) fn final_states(
+    graph: &Graph,
+    run: &Run,
+    spec: &DpSpec,
+) -> Result<Vec<CountingState<u8>>, CaError> {
     spec.validate_params()?;
+    run.validate(graph)?;
     let m = graph.len();
-    if run.process_count() != m {
-        return Err(CaError::malformed(format!(
-            "run spans {} processes but the graph has {m}",
-            run.process_count()
-        )));
-    }
     let mut states = initial_states(graph, |i| run.has_input(i));
     for r in 1..=run.horizon() {
-        let out = outcome_of(spec, &states);
-        if out.ta == Rational::ONE {
+        if spec.outcome_nums(counts_and_tokens(&states)).0 == spec.attack_den() {
             break; // saturated: TA is certain and stays certain
         }
         let msgs: Vec<CountingMsg<u8>> = states.iter().map(CountingState::to_msg).collect();
@@ -341,45 +343,22 @@ pub fn run_outcomes(graph: &Graph, run: &Run, spec: &DpSpec) -> Result<ExactOutc
             }
         }
     }
-    Ok(outcome_of(spec, &states))
+    Ok(states)
 }
 
-/// Protocol S exact outcomes through the DP path, with the scalar closed
-/// form as a divergence-audited fallback: when `audit` is set the scalar
-/// [`crate::exact::protocol_s_outcomes`] is also computed and any
-/// disagreement routes the scalar answer through (and bumps the
-/// `exact.dp.fallbacks` counter) — the same spot-check-and-fall-back
-/// pattern the Monte Carlo layer uses for the sliced engine.
+/// Exact outcome probabilities of the DP-eligible protocol `spec` on one
+/// fixed run: [`DpSpec::outcome`] of the final automaton state. This is the
+/// one per-run exact engine of the Figure 1 family — Protocol S and its
+/// eager and message-validity variants, and the deterministic threshold
+/// rule — with no limit on `t`.
 ///
-/// Returns the outcome and whether the DP result was used.
-pub fn outcomes_with_fallback(
-    graph: &Graph,
-    run: &Run,
-    t: u64,
-    audit: bool,
-) -> (ExactOutcome, bool) {
-    let obs = Metrics::new();
-    let dp = run_outcomes(graph, run, &DpSpec::protocol_s(t))
-        .ok()
-        .filter(ExactOutcome::is_valid);
-    let result = match dp {
-        Some(out) if !audit => (out, true),
-        Some(out) => {
-            let scalar = crate::exact::protocol_s_outcomes(graph, run, t);
-            if out == scalar {
-                (out, true)
-            } else {
-                obs.inc(CounterId::ExactDpFallbacks);
-                (scalar, false)
-            }
-        }
-        None => {
-            obs.inc(CounterId::ExactDpFallbacks);
-            (crate::exact::protocol_s_outcomes(graph, run, t), false)
-        }
-    };
-    obs.flush();
-    result
+/// # Errors
+///
+/// [`DpSpec::validate_params`], and [`CaError::Model`] for a run that
+/// [`Run::validate`] rejects on `graph`.
+pub fn run_outcomes(graph: &Graph, run: &Run, spec: &DpSpec) -> Result<ExactOutcome, CaError> {
+    let states = final_states(graph, run, spec)?;
+    Ok(spec.outcome(counts_and_tokens(&states)))
 }
 
 // ---------------------------------------------------------------------------
@@ -557,8 +536,9 @@ pub struct DpStats {
     /// Kernel-cache misses (kernels actually computed: `Σ_j 2^indeg(j)`
     /// automaton steps each, one per subset of a receiver's in-edges).
     pub kernel_misses: u64,
-    /// Base values folded onto the saturation cap (clip-equivalence
-    /// collapses).
+    /// Kernel-edge applications that clipped: a source's base set shifted
+    /// past the saturation cap and folded onto it (clip-equivalence
+    /// collapses), counted once per edge, not per folded base.
     pub collapses: u64,
 }
 
@@ -1018,9 +998,7 @@ pub fn worst_case_by_enumeration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{protocol_s_outcomes, protocol_s_outcomes_slack};
-    use ca_core::protocol::Protocol;
-    use ca_protocols::{FixedThreshold, ProtocolS};
+    use ca_core::level::modified_levels;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
@@ -1168,37 +1146,6 @@ mod tests {
     }
 
     #[test]
-    fn from_sliced_mirrors_the_protocol_specs() {
-        let cases: [(&dyn Fn() -> Option<SlicedSpec>, DpSpec); 4] = [
-            (
-                &|| ProtocolS::new(0.25).sliced_spec(),
-                DpSpec::protocol_s(4),
-            ),
-            (&|| ProtocolS::eager(0.25).sliced_spec(), DpSpec::eager(4)),
-            (
-                &|| ProtocolS::with_message_validity(0.25).sliced_spec(),
-                DpSpec::message_validity(4),
-            ),
-            (
-                &|| FixedThreshold::new(5).sliced_spec(),
-                DpSpec::threshold(5),
-            ),
-        ];
-        for (sliced, expect) in cases {
-            assert_eq!(DpSpec::from_sliced(sliced().unwrap()), Some(expect));
-        }
-        // Non-integer firing ranges are not exactly representable: ineligible.
-        assert_eq!(
-            DpSpec::from_sliced(SlicedSpec::RandomFire {
-                offset: 0.0,
-                t: 2.5,
-                slack: 0,
-            }),
-            None
-        );
-    }
-
-    #[test]
     fn attack_probability_formulas() {
         let s = DpSpec::protocol_s(4);
         assert_eq!(s.attack_prob(0, true), Rational::ZERO);
@@ -1220,6 +1167,9 @@ mod tests {
 
     #[test]
     fn run_outcomes_matches_the_closed_form_on_thinned_runs() {
+        // Lemma 6.4 (final count_i = ML_i(R)) makes Theorems 6.7/6.8 a closed
+        // form over modified levels, computed without the automaton: process
+        // i attacks with probability min(1, (ML_i + slack)/t) if ML_i ≥ 1.
         let mut rng = StdRng::seed_from_u64(91);
         for m in [2usize, 3] {
             let g = Graph::complete(m).unwrap();
@@ -1236,8 +1186,15 @@ mod tests {
                         run.remove_message(s.from, s.to, s.round);
                     }
                 }
+                let ml = modified_levels(&run);
                 for t in [2u64, 7] {
                     for slack in [0u32, 1] {
+                        let p = |i: ProcessId| match ml.level(i) {
+                            0 => Rational::ZERO,
+                            l => rat(i128::from(l + slack).min(t as i128), t as i128),
+                        };
+                        let ta = g.vertices().map(p).min().unwrap();
+                        let some = g.vertices().map(p).max().unwrap();
                         let spec = DpSpec::RandomFire {
                             offset: 0,
                             t,
@@ -1245,13 +1202,37 @@ mod tests {
                         };
                         assert_eq!(
                             run_outcomes(&g, &run, &spec).unwrap(),
-                            protocol_s_outcomes_slack(&g, &run, t, slack),
+                            ExactOutcome {
+                                ta,
+                                na: Rational::ONE - some,
+                                pa: some - ta,
+                            },
                             "m={m} t={t} slack={slack} on {run}"
                         );
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn run_outcomes_rejects_slots_off_the_graph() {
+        // A 0→2 slot on line(3) is no edge. Stepping it would answer some
+        // other run (TA 1/2, where executing ProtocolS gives 1/4).
+        let g = Graph::line(3).unwrap();
+        let mut run = Run::good(&g, 4);
+        run.add_message(ProcessId::new(0), ProcessId::new(2), Round::new(1));
+        let err = run_outcomes(&g, &run, &DpSpec::protocol_s(4)).unwrap_err();
+        assert!(matches!(err, CaError::Model(_)), "{err}");
+        assert!(err.to_string().contains("non-edge"), "{err}");
+        // A process-count mismatch is the same typed error.
+        let k2_run = Run::good(&Graph::complete(2).unwrap(), 2);
+        let err = run_outcomes(
+            &Graph::complete(3).unwrap(),
+            &k2_run,
+            &DpSpec::protocol_s(4),
+        );
+        assert!(matches!(err, Err(CaError::Model(_))), "{err:?}");
     }
 
     #[test]
@@ -1365,8 +1346,19 @@ mod tests {
         assert!(sweep(&big, 2, &spec, &[]).is_err());
         let wide = Graph::star(9).unwrap(); // 9 processes
         assert!(sweep(&wide, 2, &spec, &[]).is_err());
-        assert!(DpSpec::protocol_s(MAX_DP_T + 1).validate_params().is_err());
+        // MAX_DP_T bounds the all-runs passes' base sets, not a single run.
+        let k2 = Graph::complete(2).unwrap();
+        for wide_t in [
+            DpSpec::protocol_s(MAX_DP_T + 1),
+            DpSpec::threshold(MAX_DP_T as u32 + 1),
+        ] {
+            assert!(sweep(&k2, 2, &wide_t, &[]).is_err(), "{wide_t:?}");
+            assert!(weak_outcomes(&k2, 2, &wide_t, 0.1).is_err(), "{wide_t:?}");
+        }
+        let good = run_outcomes(&k2, &Run::good(&k2, 2), &DpSpec::protocol_s(MAX_DP_T + 1));
+        assert_eq!(good.unwrap().ta, rat(2, i128::from(MAX_DP_T + 1)));
         assert!(DpSpec::threshold(0).validate_params().is_err());
+        assert!(DpSpec::protocol_s(0).validate_params().is_err());
     }
 
     #[test]
@@ -1379,24 +1371,6 @@ mod tests {
         assert_eq!(a.stats.kernel_misses, a.stats.structural_states);
         assert!(a.stats.kernel_hits > a.stats.kernel_misses);
         assert!(a.stats.states_visited >= 12);
-    }
-
-    #[test]
-    fn fallback_helper_agrees_with_scalar_and_reports_dp_use() {
-        let g = Graph::complete(3).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        for k in 0..10 {
-            let mut run = Run::good(&g, 4);
-            let slots: Vec<_> = run.messages().collect();
-            for s in slots {
-                if rng.gen_bool(0.3) {
-                    run.remove_message(s.from, s.to, s.round);
-                }
-            }
-            let (out, used_dp) = outcomes_with_fallback(&g, &run, 5, k % 2 == 0);
-            assert!(used_dp, "DP and scalar agree, so DP must be used");
-            assert_eq!(out, protocol_s_outcomes(&g, &run, 5));
-        }
     }
 
     #[test]

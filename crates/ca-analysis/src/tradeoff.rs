@@ -87,25 +87,6 @@ pub fn min_rounds_for_certain_liveness(graph: &Graph, t: u64, cap: u32) -> Optio
     })
 }
 
-/// The level-DP version of [`min_rounds_for_certain_liveness`]: the
-/// smallest horizon at which **any** run (not just the good run) reaches
-/// liveness 1, computed exactly over the full run space by
-/// [`crate::level_dp::sweep`]. Since the good run maximizes every level,
-/// this agrees with the good-run closed form wherever both apply — but it
-/// needs no "good run is optimal" assumption, and it stays exact at
-/// horizons where enumeration would refuse.
-///
-/// Returns `Err` when the graph is not DP-eligible (`m > 8` or more than
-/// 12 directed edges).
-pub fn exact_certain_liveness_round(
-    graph: &Graph,
-    t: u64,
-    cap: u32,
-) -> Result<Option<u32>, ca_core::error::CaError> {
-    let spec = crate::level_dp::DpSpec::protocol_s(t);
-    Ok(crate::level_dp::sweep(graph, cap, &spec, &[])?.first_certain_round)
-}
-
 /// The lower-bound version: the smallest `N` such that `ε·L(good run) ≥ 1` —
 /// no protocol can reach liveness 1 sooner (Theorem 5.4), so this is a lower
 /// bound on rounds for *every* protocol.
@@ -163,22 +144,26 @@ mod tests {
         // The sweep maximizes over every run, the closed form probes the
         // good run; the good run is optimal, so they must agree — and the
         // DP proves it rather than assuming it.
+        use crate::level_dp::{sweep, DpSpec};
+        let certain_round = |g: &Graph, t: u64, cap: u32| {
+            sweep(g, cap, &DpSpec::protocol_s(t), &[]).map(|r| r.first_certain_round)
+        };
         for (g, t, cap) in [
             (Graph::complete(2).unwrap(), 12u64, 16u32),
             (Graph::complete(3).unwrap(), 7, 12),
             (Graph::line(3).unwrap(), 5, 16),
         ] {
             assert_eq!(
-                exact_certain_liveness_round(&g, t, cap).unwrap(),
+                certain_round(&g, t, cap).unwrap(),
                 min_rounds_for_certain_liveness(&g, t, cap),
                 "t={t} on {g:?}"
             );
         }
         // Unreachable cap: both report None.
         let g = Graph::complete(2).unwrap();
-        assert_eq!(exact_certain_liveness_round(&g, 12, 8).unwrap(), None);
+        assert_eq!(certain_round(&g, 12, 8).unwrap(), None);
         // Ineligible graph: typed error, not a wrong answer.
-        assert!(exact_certain_liveness_round(&Graph::complete(5).unwrap(), 4, 4).is_err());
+        assert!(certain_round(&Graph::complete(5).unwrap(), 4, 4).is_err());
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! send time, sequence number) but never message contents — so it cannot
 //! learn `rfire`.
 
-use ca_core::ids::{ProcessId, Round};
-use ca_core::run::Run;
+use ca_core::ids::ProcessId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -173,67 +172,6 @@ impl Courier for RandomDropCourier {
     }
 }
 
-/// Replays a synchronous [`Run`] as an asynchronous adversary: the send at
-/// tick `t` belongs to protocol round `t / ticks_per_round + 1`, and a
-/// message is delivered (with fixed latency) iff its `(from, to, round)`
-/// slot is in `M(R)`. Sends past the run's horizon map to rounds the run
-/// cannot contain and are destroyed — the paper's convention that every
-/// message not in `M(R)` dies.
-///
-/// Each fate query is a single O(1) probe of the run's round-major delivery
-/// matrix, so replaying even dense schedules adds no per-message search
-/// cost.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RunCourier {
-    run: Run,
-    ticks_per_round: Time,
-    latency: Time,
-}
-
-impl RunCourier {
-    /// Creates the courier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ticks_per_round == 0` or `latency == 0`.
-    pub fn new(run: Run, ticks_per_round: Time, latency: Time) -> Self {
-        assert!(ticks_per_round >= 1, "ticks_per_round must be at least 1");
-        assert!(latency >= 1, "latency must be at least 1 tick");
-        RunCourier {
-            run,
-            ticks_per_round,
-            latency,
-        }
-    }
-
-    /// The replayed run.
-    pub fn run(&self) -> &Run {
-        &self.run
-    }
-
-    /// The protocol round a send at `t` falls in.
-    fn round_at(&self, t: Time) -> Round {
-        Round::new(u32::try_from(t / self.ticks_per_round + 1).unwrap_or(u32::MAX))
-    }
-}
-
-impl Courier for RunCourier {
-    fn name(&self) -> &'static str {
-        "run-replay"
-    }
-
-    fn fate(&mut self, event: SendEvent) -> Fate {
-        if self
-            .run
-            .delivers(event.from, event.to, self.round_at(event.sent_at))
-        {
-            Fate::Deliver(event.sent_at + self.latency)
-        } else {
-            Fate::Destroy
-        }
-    }
-}
-
 /// Destroys every message: the total-silence adversary.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SilenceCourier;
@@ -306,46 +244,5 @@ mod tests {
         for s in 0..5 {
             assert_eq!(c.fate(ev(s, s)), Fate::Destroy);
         }
-    }
-
-    #[test]
-    fn run_courier_replays_the_run() {
-        // Run over 2 processes, horizon 2: deliver 0→1 in round 1 only.
-        let mut run = Run::empty(2, 2);
-        run.add_message(ProcessId::new(0), ProcessId::new(1), Round::new(1));
-        let mut c = RunCourier::new(run, 10, 3);
-        assert_eq!(c.name(), "run-replay");
-        // Ticks 0..10 are round 1: the slot is present.
-        assert_eq!(c.fate(ev(0, 0)), Fate::Deliver(3));
-        assert_eq!(c.fate(ev(9, 1)), Fate::Deliver(12));
-        // Ticks 10..20 are round 2: slot absent.
-        assert_eq!(c.fate(ev(10, 2)), Fate::Destroy);
-        // Past the horizon (round 3+): destroyed.
-        assert_eq!(c.fate(ev(25, 3)), Fate::Destroy);
-        // The reverse direction was never delivered.
-        let back = SendEvent {
-            from: ProcessId::new(1),
-            to: ProcessId::new(0),
-            sent_at: 0,
-            seq: 4,
-        };
-        assert_eq!(c.fate(back), Fate::Destroy);
-    }
-
-    #[test]
-    fn run_courier_serde_round_trip() {
-        let mut run = Run::empty(2, 2);
-        run.add_input(ProcessId::new(0));
-        run.add_message(ProcessId::new(1), ProcessId::new(0), Round::new(2));
-        let c = RunCourier::new(run, 4, 1);
-        let json = serde::json::to_string(&c).unwrap();
-        let back: RunCourier = serde::json::from_str(&json).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    #[should_panic(expected = "ticks_per_round")]
-    fn run_courier_rejects_zero_ticks_per_round() {
-        RunCourier::new(Run::empty(2, 1), 0, 1);
     }
 }

@@ -4,16 +4,17 @@
 //! `AsyncS` do not depend on the sampled *value* of `rfire` — only on its
 //! propagation, which is value-blind. So for any courier whose decisions
 //! depend only on send metadata (all of ours), the final counts and token
-//! possession are deterministic, and the uniform `rfire ∈ (0, 1/ε]` can be
-//! integrated analytically — the asynchronous twin of
-//! `ca_analysis::exact::protocol_s_outcomes`.
+//! possession are deterministic. One reference execution reads them off, and
+//! [`DpSpec::outcome`] integrates the uniform `rfire ∈ (0, 1/ε]` over them —
+//! the same firing rule the synchronous per-run engine,
+//! `ca_analysis::level_dp::run_outcomes`, applies to its final states.
 
 use crate::courier::Courier;
 use crate::engine::{run_async, AsyncConfig};
 use crate::protocol::AsyncS;
 use ca_analysis::exact::ExactOutcome;
+use ca_analysis::level_dp::DpSpec;
 use ca_core::graph::Graph;
-use ca_core::rational::Rational;
 use ca_core::tape::{BitTape, TapeSet};
 
 /// Exact outcome probabilities of `AsyncS` with `ε = 1/t` under the given
@@ -42,26 +43,7 @@ pub fn async_s_outcomes<C: Courier + ?Sized>(
             .collect(),
     );
     let out = run_async(&proto, graph, config, &tapes, courier);
-
-    let mut mincount: Option<u32> = None;
-    let mut max_attackable: u32 = 0;
-    for state in &out.states {
-        mincount = Some(mincount.map_or(state.count, |v| v.min(state.count)));
-        if state.token.is_some() {
-            max_attackable = max_attackable.max(state.count);
-        }
-    }
-    let mincount = mincount.expect("at least one process");
-
-    let t_rat = Rational::new(t as i128, 1);
-    let clamp = |count: u32| Rational::from(count).min(t_rat) / t_rat;
-    let ta = clamp(mincount);
-    let some = clamp(max_attackable);
-    ExactOutcome {
-        ta,
-        na: Rational::ONE - some,
-        pa: some - ta,
-    }
+    DpSpec::protocol_s(t).outcome(out.states.iter().map(|s| (s.count, s.token.is_some())))
 }
 
 #[cfg(test)]
@@ -70,6 +52,7 @@ mod tests {
     use crate::courier::{CutCourier, ReliableCourier, SilenceCourier};
     use crate::engine::run_async;
     use ca_core::outcome::Outcome;
+    use ca_core::rational::Rational;
     use ca_core::tape::TapeSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

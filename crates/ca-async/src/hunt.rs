@@ -46,7 +46,7 @@
 use crate::chaos::{ChaosCourier, FaultPrimitive, FaultSchedule, TimeWindow};
 use crate::courier::{Courier, Fate, SendEvent};
 use crate::supervisor::panic_message;
-use ca_analysis::level_dp::outcomes_with_fallback;
+use ca_analysis::level_dp::{run_outcomes, DpSpec};
 use ca_core::error::CaError;
 use ca_core::graph::Graph;
 use ca_core::ids::{ProcessId, Round};
@@ -153,7 +153,7 @@ impl CandidateResult {
     /// Exact TA as a rational (reconstructed from `ml` — the induced-run
     /// value `min(ml, t)/t`), for exact-arithmetic ranking.
     fn exact_ta_rational(&self, t: u64) -> Rational {
-        Rational::from(self.ml).min(Rational::new(t as i128, 1)) / Rational::new(t as i128, 1)
+        DpSpec::protocol_s(t).attack_prob(self.ml, true)
     }
 
     /// Exact ranking key: lowest exact TA, then fewest faults, then lowest
@@ -661,8 +661,15 @@ fn evaluate_candidate_inner(
     generation: u32,
     schedule: FaultSchedule,
 ) -> CandidateResult {
-    let run = match induced_run(graph, &schedule, config.rounds) {
-        Ok(run) => run,
+    // Exact TA ranking through the level DP's per-run engine, which
+    // `tests/level_dp_differential.rs` holds to the executed protocol on
+    // induced runs.
+    let scored = induced_run(graph, &schedule, config.rounds).and_then(|run| {
+        let exact = run_outcomes(graph, &run, &DpSpec::protocol_s(config.t))?;
+        Ok((modified_levels(&run).min_level(), exact))
+    });
+    let (ml, exact) = match scored {
+        Ok(scored) => scored,
         Err(e) => {
             return CandidateResult {
                 id,
@@ -679,12 +686,6 @@ fn evaluate_candidate_inner(
             }
         }
     };
-    let ml = modified_levels(&run).min_level();
-    // Exact TA ranking through the level DP, with the scalar closed form as
-    // the audited fallback: every 16th candidate (deterministic in the id)
-    // is recomputed scalar-side and any divergence routes the scalar result
-    // through — the sliced engine's spot-check pattern applied to ranking.
-    let (exact, _used_dp) = outcomes_with_fallback(graph, &run, config.t, id.is_multiple_of(16));
     let eps = Rational::new(1, config.t as i128);
     let status = if ml >= 1 {
         CandidateStatus::Ok
@@ -811,9 +812,7 @@ fn shrink_candidate(graph: &Graph, config: &HuntConfig, best: &CandidateResult) 
         if ml == 0 {
             return false;
         }
-        let ta = Rational::from(ml).min(Rational::new(config.t as i128, 1))
-            / Rational::new(config.t as i128, 1);
-        ta <= target
+        DpSpec::protocol_s(config.t).attack_prob(ml, true) <= target
     };
     let kept = ddmin(&best.schedule.faults, reproduces);
     drop(span);
@@ -996,8 +995,8 @@ pub fn run_hunt(graph: &Graph, config: &HuntConfig) -> HuntReport {
     let mut online_adv = MinLevelCut::new(graph.clone(), config.rounds, 1);
     let online_run = materialize(&mut online_adv, graph, config.rounds);
     let online_ml = modified_levels(&online_run).min_level();
-    // One probe, so always audit the DP result against the scalar path.
-    let (online_exact, _) = outcomes_with_fallback(graph, &online_run, config.t, true);
+    let online_exact = run_outcomes(graph, &online_run, &DpSpec::protocol_s(config.t))
+        .unwrap_or_else(|e| panic!("the min-level cut is a run on the graph: {e}"));
     let online = OnlineProbe {
         adversary: "min-level-cut".to_owned(),
         target: 1,
@@ -1154,6 +1153,11 @@ mod tests {
         };
         let r = evaluate_candidate(&g, &config, 2, 0, invalid);
         assert_eq!(r.status, CandidateStatus::Rejected);
+        // A firing rule the exact engine refuses: typed rejection too.
+        let zero_t = HuntConfig { t: 0, ..config };
+        let r = evaluate_candidate(&g, &zero_t, 3, 0, FaultSchedule::reliable(1));
+        assert_eq!(r.status, CandidateStatus::Rejected);
+        assert!(r.detail.is_some_and(|d| d.contains("firing range")));
     }
 
     #[test]

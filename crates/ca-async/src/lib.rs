@@ -31,7 +31,6 @@ pub mod engine;
 pub mod exact;
 pub mod experiments;
 pub mod hunt;
-pub mod log;
 pub mod protocol;
 pub mod serve;
 pub mod supervisor;

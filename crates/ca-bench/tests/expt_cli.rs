@@ -3,7 +3,9 @@
 //! Pins the experiment runner's contract: it runs the one registry, in the
 //! id order every registry report (`ca profile`, BENCH_experiments.json)
 //! uses, selects experiments by case-insensitive id, rejects unknown ids
-//! with a typed error, and exports each table as CSV on request.
+//! with a typed error, and exports each table as CSV on request. The tables
+//! that per-run exact outcomes feed are pinned byte for byte against
+//! checked-in goldens.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -77,5 +79,36 @@ fn csv_flag_writes_one_file_per_table() {
     assert!(output.status.success(), "{}", stdout(&output));
     let csv = std::fs::read_to_string(PathBuf::from(&dir).join("e4.csv")).expect("e4.csv written");
     assert!(csv.lines().count() > 1, "{csv}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The experiments whose tables per-run exact outcomes feed, each pinned by
+/// `tests/golden/expt/<id>.csv`: `ca expt <ids> --csv DIR` at quick scale
+/// and the default seed. An intended change to a table regenerates the
+/// goldens with that command and says why.
+const EXACT_TABLES: [&str; 9] = ["e2", "e3", "e4", "e5", "e8", "e9", "x1", "x4", "x5"];
+
+#[test]
+fn exact_tables_match_the_checked_in_goldens() {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("ca_expt_cli_{}_golden", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("temp dir is UTF-8");
+    let mut args = vec!["expt"];
+    args.extend(EXACT_TABLES);
+    args.extend(["--csv", dir_arg]);
+    let output = ca(&args);
+    assert!(output.status.success(), "{}", stdout(&output));
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/expt");
+    for id in EXACT_TABLES {
+        let file = format!("{id}.csv");
+        let got = std::fs::read(dir.join(&file)).expect("table written");
+        let want = std::fs::read(golden.join(&file)).expect("read the golden");
+        assert!(
+            got == want,
+            "{file} drifted from the golden:\n{}",
+            String::from_utf8_lossy(&got)
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

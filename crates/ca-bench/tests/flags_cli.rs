@@ -52,6 +52,8 @@ fn boundary_values_are_accepted() {
         // Reciprocals that are integers up to float rounding.
         &["exact", "--epsilon", "0.1"],
         &["exact", "--epsilon", "0.001"],
+        // Past the sweep's MAX_DP_T: one run needs no base sets.
+        &["exact", "--t", "100000"],
         // `simulate` and `trace` take any ε in (0, 1].
         &["simulate", "--epsilon", "0.3", "--trials", "100"],
         &["levels", "--graph", "k3", "--drop-link", "0:2:1"],

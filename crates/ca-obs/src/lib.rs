@@ -150,28 +150,25 @@ pub enum CounterId {
     ServeRetries,
     /// Shard restarts performed by the supervisor after a panic.
     ServeShardRestarts,
-    /// Level-DP states first reached: new `(structural class, base)` pairs
-    /// discovered by the exact sweep, plus canonical states visited by the
-    /// per-run path.
+    /// Level-DP frontier entries the exact sweep expanded: structural
+    /// classes holding at least one reachable base, summed over rounds.
     ExactDpStates,
     /// Level-DP transition-kernel cache hits (a structural class whose
-    /// per-pattern successors were already memoized).
+    /// successors were already memoized).
     ExactDpKernelHits,
-    /// Level-DP transition-kernel cache misses (kernels built by running the
-    /// real counting automaton over every delivery pattern).
+    /// Level-DP transition-kernel cache misses: kernels built by stepping
+    /// the real counting automaton once per subset of each receiver's
+    /// in-edges.
     ExactDpKernelMisses,
-    /// Level-DP clip-equivalence collapses: successor states folded into an
-    /// already-represented equivalence class (kernel dedup plus base-count
-    /// clipping at the probability-saturation ceiling).
+    /// Level-DP clip-equivalence collapses: kernel-edge applications whose
+    /// shifted base set passed the probability-saturation cap and folded
+    /// onto it.
     ExactDpCollapses,
-    /// Exact evaluations that fell back from the level-DP to the scalar
-    /// oracle (ineligible instance, or a cross-check divergence).
-    ExactDpFallbacks,
 }
 
 impl CounterId {
     /// Number of counters in the registry.
-    pub const COUNT: usize = 41;
+    pub const COUNT: usize = 40;
 
     /// Every counter, in canonical registry (report) order.
     pub const ALL: [CounterId; Self::COUNT] = [
@@ -215,7 +212,6 @@ impl CounterId {
         CounterId::ExactDpKernelHits,
         CounterId::ExactDpKernelMisses,
         CounterId::ExactDpCollapses,
-        CounterId::ExactDpFallbacks,
     ];
 
     /// The counter's stable report name (`layer.metric`).
@@ -261,7 +257,6 @@ impl CounterId {
             CounterId::ExactDpKernelHits => "exact.dp.kernel_hits",
             CounterId::ExactDpKernelMisses => "exact.dp.kernel_misses",
             CounterId::ExactDpCollapses => "exact.dp.collapses",
-            CounterId::ExactDpFallbacks => "exact.dp.fallbacks",
         }
     }
 }

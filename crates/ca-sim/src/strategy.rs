@@ -277,25 +277,6 @@ pub fn single_drop_family(graph: &Graph, n: u32) -> Vec<Run> {
         .collect()
 }
 
-/// Runs with inputs restricted to every nonempty subset of a small vertex
-/// set, everything delivered. Exercises validity/liveness structure.
-pub fn input_subset_family(graph: &Graph, n: u32) -> Vec<Run> {
-    let m = graph.len();
-    assert!(
-        m <= 16,
-        "input_subset_family over {m} processes is too large"
-    );
-    (0u32..(1 << m))
-        .map(|mask| {
-            let inputs: Vec<_> = graph
-                .vertices()
-                .filter(|p| mask & (1 << p.index()) != 0)
-                .collect();
-            Run::good_with_inputs(graph, n, &inputs)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,16 +399,5 @@ mod tests {
         for run in family {
             assert_eq!(run.message_count(), good_count - 1);
         }
-    }
-
-    #[test]
-    fn input_subset_family_enumerates_all_masks() {
-        let g = Graph::complete(3).unwrap();
-        let family = input_subset_family(&g, 2);
-        assert_eq!(family.len(), 8);
-        assert!(family.iter().any(|r| !r.has_any_input()));
-        assert!(family
-            .iter()
-            .any(|r| r.has_input(ProcessId::new(0)) && r.input_count() == 1));
     }
 }

@@ -3,7 +3,8 @@
 //! The DP (`ca_analysis::level_dp`) promises **exact** agreement — equal
 //! rationals, not statistically close — with three independent oracles:
 //!
-//! * per fixed run, the closed-form `protocol_s_outcomes_slack` and (for
+//! * per fixed run, the executing closed form below (`ProtocolS` run through
+//!   the generic engine, its final counts integrated over `rfire`) and (for
 //!   power-of-two `t`) exhaustive enumeration of real `GridS` executions
 //!   over every leader tape — the discretization is exact when `t | 2^b`;
 //! * per fixed run, the deterministic `FixedThreshold` protocol executed
@@ -12,21 +13,60 @@
 //!   subset × delivery pattern at `bits ≤ 24`, the strongest adversary the
 //!   enumeration wall permits.
 //!
-//! Past the wall, enumeration must refuse with its typed error while the
-//! sweep keeps answering (the point of the DP) — pinned by the boundary
-//! test. The audited fallback mirrors the Monte Carlo engine's
-//! sliced-vs-scalar spot-check contract.
+//! The per-run cases cover every kind of run the library scores: thinnings
+//! of the good run, `WeakAdversary` samples, and the induced runs of sampled
+//! chaos schedules that the hunt ranks. Past the wall, enumeration must
+//! refuse with its typed error while the sweep keeps answering (the point
+//! of the DP) — pinned by the boundary test.
 
 use coordinated_attack::analysis::enumeration::enumerate_leader_tapes;
-use coordinated_attack::analysis::exact::protocol_s_outcomes_slack;
 use coordinated_attack::analysis::level_dp::{self, DpSpec};
+use coordinated_attack::asynchronous::campaign::sample_schedule;
+use coordinated_attack::asynchronous::induced_run;
 use coordinated_attack::core::tape::BitTape;
 use coordinated_attack::prelude::*;
-use coordinated_attack::protocols::GridS;
 use coordinated_attack::sim::RunSampler;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The executing closed form: runs `ProtocolS` itself through the generic
+/// engine, reads each process's final count and token, and integrates
+/// `rfire ~ U(0, t]` over the slack-generalized rule `count ≥ 1 ∧
+/// count + slack ≥ rfire` (slack 0 is Protocol S, slack 1
+/// `ProtocolS::eager`). Shares no code with `level_dp` or `DpSpec`.
+fn executed_closed_form(g: &Graph, run: &Run, t: u64, slack: u32) -> ExactOutcome {
+    let proto = ProtocolS::new(1.0 / t as f64);
+    // Any tape will do: counts and token possession are rfire-independent.
+    let tapes = TapeSet::from_tapes(
+        (0..g.len())
+            .map(|_| BitTape::from_words(vec![0x0123_4567_89AB_CDEF]))
+            .collect(),
+    );
+    let ex = execute(&proto, g, run, &tapes);
+    let t_rat = Rational::new(t as i128, 1);
+    let clamp = |threshold: u32| Rational::from(threshold).min(t_rat) / t_rat;
+    // TA is the least attack probability, or 0 once some process can never
+    // attack; "some attack" is the greatest.
+    let mut ta = Some(Rational::ONE);
+    let mut some = Rational::ZERO;
+    for i in g.vertices() {
+        let state = ex.local(i).states.last().expect("final state");
+        if state.token.is_some() && state.count >= 1 {
+            let p = clamp(state.count + slack);
+            some = some.max(p);
+            ta = ta.map(|v| v.min(p));
+        } else {
+            ta = None;
+        }
+    }
+    let ta = ta.unwrap_or(Rational::ZERO);
+    ExactOutcome {
+        ta,
+        na: Rational::ONE - some,
+        pa: some - ta,
+    }
+}
 
 /// A deterministic random thinning of the good run: inputs kept with
 /// probability 3/4, delivery slots with probability 3/5 (the same mix the
@@ -96,7 +136,7 @@ proptest! {
         prop_assert_eq!(report.u_s, pa, "max PA diverged");
     }
 
-    /// Per-run differential against the independent closed form, across the
+    /// Per-run differential against the executing closed form, across the
     /// slack family (Protocol S and eager) on thinned runs.
     #[test]
     fn run_outcomes_equal_the_closed_form_on_thinned_runs(
@@ -110,8 +150,7 @@ proptest! {
         let run = thin_run(&g, n, run_seed);
         let spec = if slack == 0 { DpSpec::protocol_s(t) } else { DpSpec::eager(t) };
         let dp = level_dp::run_outcomes(&g, &run, &spec).expect("eligible");
-        let oracle = protocol_s_outcomes_slack(&g, &run, t, slack);
-        prop_assert_eq!(dp, oracle);
+        prop_assert_eq!(dp, executed_closed_form(&g, &run, t, slack));
     }
 
     /// Per-run differential against enumerated **executions**: for
@@ -158,27 +197,10 @@ proptest! {
         prop_assert_eq!((dp.ta, dp.na, dp.pa), (ta, na, pa));
     }
 
-    /// The audited fallback path: on every DP-eligible run it must agree
-    /// with the scalar closed form and report that the DP answered — the
-    /// fallback only fires on divergence, and there is none.
-    #[test]
-    fn audited_fallback_routes_the_dp_answer_through(
-        m in 2usize..=4,
-        n in 1u32..=6,
-        run_seed in any::<u64>(),
-        t in 1u64..=9,
-    ) {
-        let g = Graph::complete(m).expect("graph");
-        let run = thin_run(&g, n, run_seed);
-        let (out, used_dp) = level_dp::outcomes_with_fallback(&g, &run, t, true);
-        prop_assert!(used_dp, "the DP must survive its own audit");
-        prop_assert_eq!(out, protocol_s_outcomes(&g, &run, t));
-    }
-
     /// Sampler-driven runs (the Monte Carlo engine's run distribution, not
-    /// just thinnings of the good run) go through the same audited path.
+    /// just thinnings of the good run) against the executing closed form.
     #[test]
-    fn audited_fallback_holds_on_sampled_runs(
+    fn run_outcomes_equal_the_closed_form_on_sampled_runs(
         n in 1u32..=6,
         drop_pct in 0u64..=100,
         sample_seed in any::<u64>(),
@@ -187,9 +209,33 @@ proptest! {
         let g = Graph::complete(3).expect("graph");
         let sampler = WeakAdversary::iid(&g, n, drop_pct as f64 / 100.0);
         let run = sampler.sample(&mut StdRng::seed_from_u64(sample_seed));
-        let (out, used_dp) = level_dp::outcomes_with_fallback(&g, &run, t, true);
-        prop_assert!(used_dp);
-        prop_assert_eq!(out, protocol_s_outcomes(&g, &run, t));
+        let dp = level_dp::run_outcomes(&g, &run, &DpSpec::protocol_s(t)).expect("eligible");
+        prop_assert_eq!(dp, executed_closed_form(&g, &run, t, 0));
+    }
+
+    /// The runs the hunt ranks with `run_outcomes`: `induced_run` of a
+    /// sampled chaos schedule (up to four faults in the horizon) on K2, K3,
+    /// ring4 and line3, against the executing closed form. Schedules that
+    /// fail validation induce no run.
+    #[test]
+    fn run_outcomes_equal_the_closed_form_on_induced_runs(
+        shape in 0u8..4,
+        rounds in 1u32..=8,
+        schedule_seed in any::<u64>(),
+        t in 1u64..=9,
+    ) {
+        let g = match shape {
+            0 => Graph::complete(2),
+            1 => Graph::complete(3),
+            2 => Graph::ring(4),
+            _ => Graph::line(3),
+        }
+        .expect("graph");
+        let schedule = sample_schedule(schedule_seed, g.len(), u64::from(rounds), 4);
+        if let Ok(run) = induced_run(&g, &schedule, rounds) {
+            let dp = level_dp::run_outcomes(&g, &run, &DpSpec::protocol_s(t)).expect("eligible");
+            prop_assert_eq!(dp, executed_closed_form(&g, &run, t, 0));
+        }
     }
 }
 
