@@ -17,7 +17,8 @@
 //!   outcome- and dynamics-equivalent, so they collapse onto one class.
 //!
 //! The sweep [`sweep`] runs a transfer over `(structural state → set of
-//! reachable bases)`: per-round transition kernels are **memoized per
+//! reachable bases)`, each set a list of base intervals (one, on every
+//! instance measured): per-round transition kernels are **memoized per
 //! structural class**, so the whole 2^inputs × 2^(E·N) run space (`E` =
 //! directed edges) reduces to (reachable structs) × (N rounds) kernel
 //! applications — polynomial in N. A kernel is built per receiver: a
@@ -28,8 +29,8 @@
 //! distinct outcomes. That computes `max_R Pr[TA|R]` and `max_R Pr[PA|R]`
 //! for *every* horizon up to N exactly — every attack probability of a
 //! spec is an integer over one shared denominator, so extremes are integer
-//! extremes — at scales where enumeration returns its typed `bits > 24`
-//! error.
+//! extremes, read in closed form per base interval — at scales where
+//! enumeration returns its typed `bits > 24` error.
 //!
 //! [`weak_outcomes`] answers §8's weak adversary with the same classes and
 //! kernels: it replaces the ∀ over runs with an expectation, carrying a
@@ -84,10 +85,11 @@ pub const MAX_DP_PROCESSES: usize = 8;
 pub const MAX_DP_EDGES: usize = 12;
 
 /// Largest firing range `t = 1/ε` (and threshold `θ`) the all-runs passes
-/// ([`sweep`], [`weak_outcomes`]) accept: a base set holds one bit, and a
-/// weighted mass vector one `f64`, per un-saturated base value, so this
-/// bounds a structural class's footprint at 8 KiB of bits. Per-run
-/// evaluation ([`run_outcomes`]) keeps no base sets and takes any `t`.
+/// ([`sweep`], [`weak_outcomes`]) accept. The sweep's base sets are runs of
+/// bases, whatever `t`; the bound is for [`weak_outcomes`], whose mass
+/// vectors hold one `f64` per un-saturated base value, so a structural
+/// class's mass is at most 512 KiB. Per-run evaluation ([`run_outcomes`])
+/// keeps neither and takes any `t`.
 pub const MAX_DP_T: u64 = 1 << 16;
 
 /// Bits per process in the packed structural key: 2 (normalized count)
@@ -419,91 +421,109 @@ fn unpack_state(key: u128, m: usize) -> Vec<CountingState<u8>> {
 // Base sets: reachable common shifts per structural class, clipped
 // ---------------------------------------------------------------------------
 
-/// The set of reachable bases for one structural class: a bitset over
-/// `0..=cap`, where the cap bit is the clip-equivalence class "saturated —
-/// everything fires with probability 1". Words past the highest set bit are
-/// not stored, so a set costs what its bases span, and a shift touches only
-/// the words its source occupies.
+/// An inclusive run `lo..=hi` of reachable bases.
+type BaseRun = (u32, u32);
+
+/// The set of reachable bases for one structural class, within `0..=cap`,
+/// where the cap is the clip-equivalence class "saturated — everything
+/// fires with probability 1". Stored as disjoint, non-adjacent runs in
+/// ascending order: the first inline, any further ones spilled to `rest`.
+/// On every instance measured each class's reachable bases form one run,
+/// which a shift updates in O(1); more runs stay exact, at O(runs) per
+/// merge.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct BaseSet {
-    /// The words up to the one holding the highest set bit.
-    words: Vec<u64>,
-    /// Number of distinct base classes (`cap + 1`).
-    bits: usize,
+    /// The lowest run; `None` iff the set is empty.
+    first: Option<BaseRun>,
+    /// The runs above `first`, ascending.
+    rest: Vec<BaseRun>,
+    /// The saturation cap: the highest base the set can hold.
+    cap: u32,
 }
 
 impl BaseSet {
     fn empty(cap: u32) -> Self {
         BaseSet {
-            words: Vec::new(),
-            bits: cap as usize + 1,
+            first: None,
+            rest: Vec::new(),
+            cap,
         }
     }
 
-    fn insert(&mut self, b: usize) {
-        debug_assert!(b < self.bits);
-        if self.words.len() <= b / 64 {
-            self.words.resize(b / 64 + 1, 0);
-        }
-        self.words[b / 64] |= 1 << (b % 64);
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// Empties the set, keeping its spill allocation.
+    fn clear(&mut self) {
+        self.first = None;
+        self.rest.clear();
+    }
+
+    fn insert(&mut self, b: u32) {
+        debug_assert!(b <= self.cap);
+        self.add_run((b, b));
     }
 
     /// Highest reachable base, if any.
-    fn max_bit(&self) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate().rev() {
-            if w != 0 {
-                return Some(wi * 64 + 63 - w.leading_zeros() as usize);
+    fn top(&self) -> Option<u32> {
+        self.rest.last().or(self.first.as_ref()).map(|&(_, hi)| hi)
+    }
+
+    /// The runs, ascending.
+    fn runs(&self) -> impl Iterator<Item = BaseRun> + '_ {
+        self.first.into_iter().chain(self.rest.iter().copied())
+    }
+
+    /// Adds the bases `lo..=hi`, merging runs that overlap or touch.
+    #[inline]
+    fn add_run(&mut self, (lo, hi): BaseRun) {
+        match self.first {
+            None => self.first = Some((lo, hi)),
+            Some((a, b)) if self.rest.is_empty() && lo <= b + 1 && a <= hi + 1 => {
+                self.first = Some((a.min(lo), b.max(hi)));
+            }
+            Some(_) => self.merge_run((lo, hi)),
+        }
+    }
+
+    /// [`BaseSet::add_run`] once the set holds, or would hold, more than one
+    /// run: re-merges the sorted list.
+    #[cold]
+    #[inline(never)]
+    fn merge_run(&mut self, run: BaseRun) {
+        let mut all: Vec<BaseRun> = self.runs().collect();
+        all.insert(all.partition_point(|&(a, _)| a < run.0), run);
+        self.rest.clear();
+        for run in all {
+            match self.rest.last_mut() {
+                Some(last) if run.0 <= last.1 + 1 => last.1 = last.1.max(run.1),
+                _ => self.rest.push(run),
             }
         }
-        None
+        self.first = Some(self.rest.remove(0));
     }
 
-    /// All reachable bases, ascending.
-    fn iter_bits(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            std::iter::successors((w != 0).then_some(w), |&w| {
-                let rest = w & (w - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(move |w| wi * 64 + w.trailing_zeros() as usize)
-        })
-    }
-
-    /// ORs `other` shifted up by `delta` into `self`, folding anything past
-    /// the cap onto the cap bit. Returns whether any base was clipped — a
-    /// clip-equivalence-class collapse.
+    /// ORs `other` shifted up by `delta` into `self`, clamping both ends of
+    /// each run to the cap, which folds every base past it onto it. Returns
+    /// whether any base was clipped — a clip-equivalence-class collapse.
     fn or_shifted(&mut self, other: &BaseSet, delta: u32) -> bool {
-        debug_assert_eq!(self.bits, other.bits);
-        let Some(top) = other.max_bit() else {
+        debug_assert_eq!(self.cap, other.cap);
+        // `first` is read apart from `rest`, not through `runs()`: the
+        // chained iterator made this one-run shift, the sweep's inner loop,
+        // ~1.5× slower on K3 at N = t = 1000.
+        let Some(first) = other.first else {
             return false;
         };
-        let cap = self.bits - 1;
-        let delta = delta as usize;
-        let clipped = top + delta > cap;
-        // The words the shifted copy reaches, up to the cap's.
-        let end = ((top + delta) / 64 + 1).min(self.bits.div_ceil(64));
-        if self.words.len() < end {
-            self.words.resize(end, 0);
+        let cap = u64::from(self.cap);
+        let shift = |b: u32| u64::from(b) + u64::from(delta);
+        let clamp = |(lo, hi): BaseRun| (shift(lo).min(cap) as u32, shift(hi).min(cap) as u32);
+        self.add_run(clamp(first));
+        for &run in &other.rest {
+            self.add_run(clamp(run));
         }
-        let wshift = delta / 64;
-        let bshift = (delta % 64) as u32;
-        for (wi, word) in self.words[..end].iter_mut().enumerate().skip(wshift) {
-            let src = wi - wshift;
-            let mut v = other.words.get(src).map_or(0, |&w| w << bshift);
-            if bshift > 0 && src > 0 {
-                v |= other.words[src - 1] >> (64 - bshift);
-            }
-            *word |= v;
-        }
-        if clipped {
-            // Clear the shifted-past-the-cap bits, then fold them onto it.
-            let tail = self.bits % 64;
-            if tail != 0 {
-                self.words[end - 1] &= (1u64 << tail) - 1;
-            }
-            self.insert(cap);
-        }
-        clipped
+        let top = other.rest.last().map_or(first.1, |&(_, hi)| hi);
+        shift(top) > cap
     }
 }
 
@@ -577,10 +597,24 @@ type Kernel = Box<[(u32, u32)]>;
 /// The weak adversary's kernel: each edge with its probability.
 type WeightedKernel = Box<[(u32, u32, f64)]>;
 
-/// The sweep engine state, separated so kernels intern successors while the
-/// frontier is being expanded.
+/// Two bases of one structural class, found by binary search over
+/// `0..=cap` (its TA and "some attack" numerators are nondecreasing in the
+/// base) and memoized per class.
+#[derive(Clone, Copy, Debug)]
+struct Thresholds {
+    /// The least base with TA = 1, or `cap + 1` if none.
+    certain: u32,
+    /// The least base at which "some attack" reaches its value at the cap.
+    peak: u32,
+}
+
+/// The engine state of one all-runs pass of `spec`, separated so kernels
+/// intern successors while the frontier is being expanded.
 struct Sweeper {
     m: usize,
+    spec: DpSpec,
+    /// The saturation cap: [`DpSpec::saturation_base`].
+    cap: u32,
     /// Per receiver: the sender of each of its in-edges.
     senders: Vec<Vec<usize>>,
     /// Structural key → interned id.
@@ -589,21 +623,26 @@ struct Sweeper {
     keys: Vec<u128>,
     /// id → memoized transition kernel.
     kernels: Vec<Option<Kernel>>,
+    /// id → memoized [`Sweeper::thresholds`].
+    thresholds: Vec<Option<Thresholds>>,
     stats: DpStats,
 }
 
 impl Sweeper {
-    fn new(graph: &Graph) -> Self {
+    fn new(graph: &Graph, spec: &DpSpec) -> Self {
         let mut senders = vec![Vec::new(); graph.len()];
         for (from, to) in graph.directed_edges() {
             senders[to.index()].push(from.index());
         }
         Sweeper {
             m: graph.len(),
+            spec: *spec,
+            cap: spec.saturation_base(),
             senders,
             ids: HashMap::new(),
             keys: Vec::new(),
             kernels: Vec::new(),
+            thresholds: Vec::new(),
             stats: DpStats::default(),
         }
     }
@@ -616,6 +655,7 @@ impl Sweeper {
         self.ids.insert(key, id);
         self.keys.push(key);
         self.kernels.push(None);
+        self.thresholds.push(None);
         self.stats.structural_states += 1;
         id
     }
@@ -730,46 +770,138 @@ impl Sweeper {
 
     /// The `(TA, some attack)` numerators of class `id` at `base`, over
     /// [`DpSpec::attack_den`].
-    fn outcome_nums(&self, id: usize, base: usize, spec: &DpSpec) -> (u64, u64) {
+    fn outcome_nums(&self, id: usize, base: u32) -> (u64, u64) {
         let key = self.keys[id];
-        spec.outcome_nums((0..self.m).map(|i| {
+        self.spec.outcome_nums((0..self.m).map(|i| {
             let w = (key >> (i as u32 * PROC_BITS)) as u32;
-            ((w & 0b11) + base as u32, w & 0b1000 != 0)
+            ((w & 0b11) + base, w & 0b1000 != 0)
         }))
     }
 
-    /// Cheap per-round certainty test: for a fixed structural class TA is
-    /// nondecreasing in the base (every attack probability is), so only the
-    /// highest reachable base matters. True iff some class reaches TA = 1.
-    fn ta_certain(&self, frontier: &[Option<BaseSet>], spec: &DpSpec) -> bool {
-        frontier.iter().enumerate().any(|(id, slot)| {
-            slot.as_ref()
-                .and_then(BaseSet::max_bit)
-                .is_some_and(|base| self.outcome_nums(id, base, spec).0 == spec.attack_den())
+    /// Whether class `id` has a process at normalized count 0. A zero count
+    /// forces a zero delta and counts never decrease, so such a class is
+    /// reachable only at base 0.
+    fn has_zero_count(&self, id: usize) -> bool {
+        (0..self.m).any(|i| (self.keys[id] >> (i as u32 * PROC_BITS)) & 0b11 == 0)
+    }
+
+    /// The round-0 frontier: every input subset at base 0 (the adversary
+    /// also chooses which inputs arrive — matching `Run::enumerate_all`'s
+    /// run space).
+    fn start(&mut self, graph: &Graph) -> Vec<BaseSet> {
+        let mut frontier = Vec::new();
+        for mask in 0u32..1 << self.m {
+            let states = initial_states(graph, |i| mask >> i.index() & 1 == 1);
+            let id = self.intern(pack_state(&states));
+            frontier.resize_with(self.keys.len(), || BaseSet::empty(self.cap));
+            frontier[id].insert(0);
+        }
+        frontier
+    }
+
+    /// Expands every class of `frontier` through its kernel into `next`
+    /// (empty on entry), in ascending id order, and empties `frontier`.
+    fn step(&mut self, frontier: &mut [BaseSet], next: &mut Vec<BaseSet>, obs: &Metrics) {
+        for (id, bases) in frontier.iter_mut().enumerate() {
+            if bases.is_empty() {
+                continue;
+            }
+            self.stats.states_visited += 1;
+            obs.inc(CounterId::ExactDpStates);
+            let cap = self.cap;
+            let mut collapses = 0;
+            for &(succ, delta) in self.kernel(id, obs) {
+                let succ = succ as usize;
+                if next.len() <= succ {
+                    next.resize_with(succ + 1, || BaseSet::empty(cap));
+                }
+                if next[succ].or_shifted(bases, delta) {
+                    collapses += 1;
+                    obs.inc(CounterId::ExactDpCollapses);
+                }
+            }
+            self.stats.collapses += collapses;
+            bases.clear();
+        }
+    }
+
+    /// Per-round certainty test: TA is nondecreasing in the base (every
+    /// attack probability is), so a class reaches TA = 1 iff its highest
+    /// reachable base is at least its `certain` threshold. True iff some
+    /// class does.
+    fn ta_certain(&mut self, frontier: &[BaseSet]) -> bool {
+        frontier.iter().enumerate().any(|(id, bases)| {
+            bases
+                .top()
+                .is_some_and(|top| top >= self.thresholds(id).certain)
         })
     }
 
-    /// Full checkpoint extremes: brute force over every reachable
-    /// `(class, base)` pair — PA is not monotone in the base (saturation
-    /// collapses it back to 0), so unlike TA it needs the full scan.
-    fn extremes(
-        &self,
-        frontier: &[Option<BaseSet>],
-        spec: &DpSpec,
-        obs: &Metrics,
-    ) -> (Rational, Rational) {
+    /// Class `id`'s [`Thresholds`], memoized.
+    fn thresholds(&mut self, id: usize) -> Thresholds {
+        if let Some(thresholds) = self.thresholds[id] {
+            return thresholds;
+        }
+        let den = self.spec.attack_den();
+        let saturated = self.outcome_nums(id, self.cap).1;
+        let thresholds = Thresholds {
+            certain: self.least_base(id, |(ta, _)| ta == den),
+            peak: self.least_base(id, |(_, some)| some == saturated),
+        };
+        self.thresholds[id] = Some(thresholds);
+        thresholds
+    }
+
+    /// The least base in `0..=cap` at which class `id`'s `(TA, some
+    /// attack)` numerators satisfy `holds`, or `cap + 1` if none do, by
+    /// binary search: `holds` must stay true once it holds, as it does for
+    /// any bound on those nondecreasing numerators.
+    fn least_base(&self, id: usize, holds: impl Fn((u64, u64)) -> bool) -> u32 {
+        let (mut lo, mut hi) = (0, self.cap + 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if holds(self.outcome_nums(id, mid)) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// The `(max TA, max PA)` numerators of class `id` over the bases
+    /// `lo..=hi`, in O(1) once the class's thresholds are known. TA is
+    /// nondecreasing in the base, so its max sits at `hi`. On a class's
+    /// reachable bases "some attack" and TA are clamps or steps of
+    /// `count + base` with the same slope, so PA = some − TA never falls
+    /// before the peak and never rises after it: its max sits at the peak
+    /// clamped into the run. A class with a zero count, where that slope
+    /// argument fails, is reachable only at base 0.
+    fn run_extremes(&mut self, id: usize, (lo, hi): BaseRun) -> (u64, u64) {
+        debug_assert!(
+            hi == 0 || !self.has_zero_count(id),
+            "class {id} at base {hi}"
+        );
+        let peak = self.thresholds(id).peak.clamp(lo, hi);
+        let (ta, _) = self.outcome_nums(id, hi);
+        let (peak_ta, peak_some) = self.outcome_nums(id, peak);
+        (ta, peak_some - peak_ta)
+    }
+
+    /// Checkpoint extremes over every reachable `(class, base)` pair: the
+    /// fold of [`Sweeper::run_extremes`] over each class's runs.
+    fn extremes(&mut self, frontier: &[BaseSet], obs: &Metrics) -> (Rational, Rational) {
         let _span = obs.span(SpanId::ExactDpExtremes);
         let mut max_ta = 0;
         let mut max_pa = 0;
-        for (id, slot) in frontier.iter().enumerate() {
-            let Some(bs) = slot else { continue };
-            for base in bs.iter_bits() {
-                let (ta, some) = self.outcome_nums(id, base, spec);
+        for (id, bases) in frontier.iter().enumerate() {
+            for run in bases.runs() {
+                let (ta, pa) = self.run_extremes(id, run);
                 max_ta = max_ta.max(ta);
-                max_pa = max_pa.max(some - ta);
+                max_pa = max_pa.max(pa);
             }
         }
-        let rat = |num: u64| Rational::new(num.into(), spec.attack_den().into());
+        let rat = |num: u64| Rational::new(num.into(), self.spec.attack_den().into());
         (rat(max_ta), rat(max_pa))
     }
 }
@@ -794,23 +926,11 @@ pub fn sweep(
     let obs = Metrics::new();
     let report = {
         let _sweep_span = obs.span(SpanId::ExactDpSweep);
-        let m = graph.len();
-        let cap = spec.saturation_base();
-        let mut sw = Sweeper::new(graph);
-
-        // Initial frontier: every input subset (the adversary also chooses
-        // which inputs arrive — matching `Run::enumerate_all`'s run space).
-        let mut frontier: Vec<Option<BaseSet>> = Vec::new();
-        for mask in 0u32..1 << m {
-            let states = initial_states(graph, |i| mask >> i.index() & 1 == 1);
-            let id = sw.intern(pack_state(&states));
-            if frontier.len() < sw.keys.len() {
-                frontier.resize_with(sw.keys.len(), || None);
-            }
-            frontier[id]
-                .get_or_insert_with(|| BaseSet::empty(cap))
-                .insert(0);
-        }
+        let mut sw = Sweeper::new(graph, spec);
+        // Two reused buffers, indexed by class id; an empty set is a class
+        // absent from the frontier.
+        let mut frontier = sw.start(graph);
+        let mut next: Vec<BaseSet> = Vec::new();
 
         let mut wanted: Vec<u32> = checkpoints
             .iter()
@@ -823,9 +943,9 @@ pub fn sweep(
 
         let mut curve: Vec<CurvePoint> = Vec::new();
         let mut first_certain: Option<u32> = None;
-        let mut record = |sw: &Sweeper, frontier: &[Option<BaseSet>], round: u32| {
+        let mut record = |sw: &mut Sweeper, frontier: &[BaseSet], round: u32| {
             if wanted.binary_search(&round).is_ok() {
-                let (max_ta, max_pa) = sw.extremes(frontier, spec, &obs);
+                let (max_ta, max_pa) = sw.extremes(frontier, &obs);
                 curve.push(CurvePoint {
                     round,
                     max_ta,
@@ -833,40 +953,15 @@ pub fn sweep(
                 });
             }
         };
-        record(&sw, &frontier, 0);
+        record(&mut sw, &frontier, 0);
 
-        // Base sets expanded in the previous round, cleared for reuse.
-        let mut spare: Vec<BaseSet> = Vec::new();
         for r in 1..=rounds {
-            let mut next: Vec<Option<BaseSet>> = Vec::new();
-            for (id, slot) in frontier.iter_mut().enumerate() {
-                let Some(mut bs) = slot.take() else {
-                    continue;
-                };
-                sw.stats.states_visited += 1;
-                obs.inc(CounterId::ExactDpStates);
-                let mut collapses = 0;
-                for &(succ, delta) in sw.kernel(id, &obs) {
-                    let succ = succ as usize;
-                    if next.len() <= succ {
-                        next.resize_with(succ + 1, || None);
-                    }
-                    let slot = next[succ]
-                        .get_or_insert_with(|| spare.pop().unwrap_or_else(|| BaseSet::empty(cap)));
-                    if slot.or_shifted(&bs, delta) {
-                        collapses += 1;
-                        obs.inc(CounterId::ExactDpCollapses);
-                    }
-                }
-                sw.stats.collapses += collapses;
-                bs.words.clear();
-                spare.push(bs);
-            }
-            frontier = next;
-            if first_certain.is_none() && sw.ta_certain(&frontier, spec) {
+            sw.step(&mut frontier, &mut next, &obs);
+            std::mem::swap(&mut frontier, &mut next);
+            if first_certain.is_none() && sw.ta_certain(&frontier) {
                 first_certain = Some(r);
             }
-            record(&sw, &frontier, r);
+            record(&mut sw, &frontier, r);
         }
 
         let last = curve.last().copied().unwrap_or(CurvePoint {
@@ -876,7 +971,7 @@ pub fn sweep(
         });
         SweepReport {
             schema: 1,
-            m,
+            m: graph.len(),
             rounds,
             spec: *spec,
             first_certain_round: first_certain,
@@ -929,8 +1024,8 @@ pub fn weak_outcomes(
             "drop probability p must be in [0,1], got {p}"
         )));
     }
-    let cap = spec.saturation_base() as usize;
-    let mut sw = Sweeper::new(graph);
+    let mut sw = Sweeper::new(graph, spec);
+    let cap = sw.cap as usize;
     let start = sw.intern(pack_state(&initial_states(graph, |_| true)));
     // Per class: the mass at each base, up to the highest base reached.
     let mut mass: Vec<Vec<f64>> = vec![Vec::new(); sw.keys.len()];
@@ -954,8 +1049,18 @@ pub fn weak_outcomes(
                 if dst.len() <= top {
                     dst.resize(top + 1, 0.0);
                 }
-                for (b, &x) in src.iter().enumerate() {
-                    dst[(b + delta).min(cap)] += w * x;
+                // Bases landing below the cap get one add each, as a slice
+                // add that vectorizes; the rest fold onto the cap in
+                // ascending order. Every accumulator sees the adds of one
+                // clamped add per base in the same order: bit-identical.
+                let (below, folded) = src.split_at(src.len().min(cap.saturating_sub(delta)));
+                if !below.is_empty() {
+                    for (d, &x) in dst[delta..].iter_mut().zip(below) {
+                        *d += w * x;
+                    }
+                }
+                for &x in folded {
+                    dst[cap] += w * x;
                 }
             }
         }
@@ -967,7 +1072,7 @@ pub fn weak_outcomes(
     let mut out = WeakOutcome { ta: 0.0, pa: 0.0 };
     for (id, bases) in mass.iter().enumerate() {
         for (base, &x) in bases.iter().enumerate() {
-            let (ta, some) = sw.outcome_nums(id, base, spec);
+            let (ta, some) = sw.outcome_nums(id, base as u32);
             out.ta += x * (ta as f64 / den);
             out.pa += x * ((some - ta) as f64 / den);
         }
@@ -1063,14 +1168,10 @@ mod tests {
     }
 
     /// A sweeper holding every class a sweep of `rounds` on `graph` interns,
-    /// discovered breadth first.
+    /// discovered breadth first. Kernels do not read the spec.
     fn interned_classes(graph: &Graph, rounds: u32) -> Sweeper {
-        let mut sw = Sweeper::new(graph);
-        for mask in 0u32..1 << graph.len() {
-            sw.intern(pack_state(&initial_states(graph, |i| {
-                mask >> i.index() & 1 == 1
-            })));
-        }
+        let mut sw = Sweeper::new(graph, &DpSpec::protocol_s(1));
+        sw.start(graph);
         let obs = Metrics::new();
         let mut depth = vec![0; sw.keys.len()];
         let mut id = 0;
@@ -1390,19 +1491,238 @@ mod tests {
         assert!(weak_outcomes(&k2, 3, &DpSpec::protocol_s(0), 0.1).is_err());
     }
 
+    /// Every base of `set`, ascending.
+    fn bases(set: &BaseSet) -> Vec<u32> {
+        set.runs().flat_map(|(lo, hi)| lo..=hi).collect()
+    }
+
     #[test]
     fn base_set_shift_clips_onto_the_cap() {
         let mut a = BaseSet::empty(4);
         a.insert(0);
         a.insert(3);
+        assert_eq!(a.runs().collect::<Vec<_>>(), vec![(0, 0), (3, 3)]);
         let mut b = BaseSet::empty(4);
         assert!(!b.or_shifted(&a, 0), "no shift, no clip");
         assert!(b.or_shifted(&a, 2), "3 + 2 > cap 4 clips");
-        assert_eq!(b.iter_bits().collect::<Vec<_>>(), vec![0, 2, 3, 4]);
-        assert_eq!(b.max_bit(), Some(4));
+        assert_eq!(bases(&b), vec![0, 2, 3, 4]);
+        assert_eq!(b.runs().collect::<Vec<_>>(), vec![(0, 0), (2, 4)]);
+        assert_eq!(b.top(), Some(4));
+        // Filling the gap merges the runs; adjacent runs merge too.
+        b.insert(1);
+        assert_eq!(b.runs().collect::<Vec<_>>(), vec![(0, 4)]);
         // Deltas beyond the cap fold everything onto it.
         let mut c = BaseSet::empty(4);
         assert!(c.or_shifted(&a, 9));
-        assert_eq!(c.iter_bits().collect::<Vec<_>>(), vec![4]);
+        assert_eq!(c.runs().collect::<Vec<_>>(), vec![(4, 4)]);
+        assert!(
+            c.or_shifted(&a, u32::MAX),
+            "no overflow at the widest delta"
+        );
+        assert_eq!(c.runs().collect::<Vec<_>>(), vec![(4, 4)]);
+        // An empty source adds nothing and clips nothing.
+        assert!(!c.or_shifted(&BaseSet::empty(4), 9));
+        c.clear();
+        assert!(c.is_empty() && c.top().is_none());
+    }
+
+    #[test]
+    fn base_sets_match_a_bitset_oracle() {
+        // Random inserts and shifted ORs on a few sets at once, each set
+        // beside a bool-per-base oracle. Inserts at random bases leave gaps,
+        // adjacent runs and overlaps to merge; deltas reach past the cap.
+        let mut rng = StdRng::seed_from_u64(29);
+        for cap in [0u32, 1, 2, 5, 17, 64, 130] {
+            for _ in 0..150 {
+                let mut sets: Vec<(BaseSet, Vec<bool>)> = (0..3)
+                    .map(|_| (BaseSet::empty(cap), vec![false; cap as usize + 1]))
+                    .collect();
+                for _ in 0..16 {
+                    let i = rng.gen_range(0..sets.len());
+                    if rng.gen_bool(0.5) {
+                        let b = rng.gen_range(0..=cap);
+                        sets[i].0.insert(b);
+                        sets[i].1[b as usize] = true;
+                    } else {
+                        let (src, src_bits) = sets[rng.gen_range(0..sets.len())].clone();
+                        let delta = rng.gen_range(0..=cap + 3);
+                        let mut clipped = false;
+                        for b in (0..=cap).filter(|&b| src_bits[b as usize]) {
+                            clipped |= b + delta > cap;
+                            sets[i].1[(b + delta).min(cap) as usize] = true;
+                        }
+                        let got = sets[i].0.or_shifted(&src, delta);
+                        assert_eq!(got, clipped, "collapse flag, cap {cap} delta {delta}");
+                    }
+                    let (set, bits) = &sets[i];
+                    let want: Vec<u32> = (0..=cap).filter(|&b| bits[b as usize]).collect();
+                    assert_eq!(bases(set), want, "cap {cap}: {set:?}");
+                    assert_eq!(set.top(), want.last().copied());
+                    assert!(set.first.is_some() || set.rest.is_empty());
+                    let runs: Vec<BaseRun> = set.runs().collect();
+                    assert!(runs.iter().all(|&(lo, hi)| lo <= hi && hi <= cap));
+                    assert!(
+                        runs.windows(2).all(|w| w[0].1 + 1 < w[1].0),
+                        "runs must be disjoint and non-adjacent: {runs:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_extremes_match_the_per_base_scan() {
+        // The per-base scan is the oracle: max TA and max PA over every base
+        // of a run, checked against `run_extremes` on every run a short sweep
+        // reaches and on random runs of every class it interns. A class with
+        // a zero count is reachable only at base 0, so its runs are [0, 0].
+        // The certainty threshold must also agree with TA at the run's top.
+        fn check(sw: &mut Sweeper, id: usize, (lo, hi): BaseRun) {
+            let scanned = (lo..=hi).fold((0, 0), |(ta, pa), base| {
+                let (t, some) = sw.outcome_nums(id, base);
+                (ta.max(t), pa.max(some - t))
+            });
+            let spec = sw.spec;
+            assert_eq!(
+                sw.run_extremes(id, (lo, hi)),
+                scanned,
+                "{spec:?} class {id} ({lo}, {hi})"
+            );
+            assert_eq!(
+                hi >= sw.thresholds(id).certain,
+                sw.outcome_nums(id, hi).0 == spec.attack_den(),
+                "{spec:?} class {id} at {hi}"
+            );
+        }
+        let mut rng = StdRng::seed_from_u64(37);
+        let obs = Metrics::new();
+        let cases = [
+            (Graph::complete(2), 8),
+            (Graph::complete(3), 6),
+            (Graph::complete(4), 2),
+            (Graph::ring(4), 3),
+            (Graph::ring(5), 2),
+            (Graph::star(5), 2),
+            (Graph::line(5), 4),
+        ];
+        let mut checked = 0;
+        for (graph, rounds) in cases {
+            let graph = graph.unwrap();
+            let specs = [1u64, 2, 7, 40].into_iter().flat_map(|t| {
+                [
+                    DpSpec::protocol_s(t),
+                    DpSpec::eager(t),
+                    DpSpec::message_validity(t),
+                    DpSpec::threshold(t as u32),
+                ]
+            });
+            for spec in specs {
+                let mut sw = Sweeper::new(&graph, &spec);
+                let mut frontier = sw.start(&graph);
+                let mut next = Vec::new();
+                for round in 0..=rounds {
+                    for (id, set) in frontier.iter().enumerate() {
+                        for run in set.runs() {
+                            check(&mut sw, id, run);
+                            checked += 1;
+                        }
+                    }
+                    if round < rounds {
+                        sw.step(&mut frontier, &mut next, &obs);
+                        std::mem::swap(&mut frontier, &mut next);
+                    }
+                }
+                for id in 0..sw.keys.len() {
+                    for _ in 0..3 {
+                        let run = if sw.has_zero_count(id) {
+                            (0, 0)
+                        } else {
+                            let lo = rng.gen_range(0..=sw.cap);
+                            (lo, rng.gen_range(lo..=sw.cap))
+                        };
+                        check(&mut sw, id, run);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            checked > 100_000,
+            "only {checked} (class, run) pairs checked"
+        );
+    }
+
+    /// The weighted pass as it shipped before its mass transfer was split:
+    /// one clamped add per source base and kernel edge.
+    fn weak_outcomes_clamped(graph: &Graph, rounds: u32, spec: &DpSpec, p: f64) -> WeakOutcome {
+        let mut sw = Sweeper::new(graph, spec);
+        let cap = sw.cap as usize;
+        let start = sw.intern(pack_state(&initial_states(graph, |_| true)));
+        let mut mass: Vec<Vec<f64>> = vec![Vec::new(); sw.keys.len()];
+        mass[start].push(1.0);
+        let mut kernels: Vec<Option<WeightedKernel>> = Vec::new();
+        for _ in 0..rounds {
+            let mut next: Vec<Vec<f64>> = Vec::new();
+            for (id, src) in mass.iter().enumerate() {
+                if src.is_empty() {
+                    continue;
+                }
+                kernels.resize_with(kernels.len().max(id + 1), || None);
+                let kernel = kernels[id].get_or_insert_with(|| sw.weighted_kernel(id, p));
+                next.resize_with(sw.keys.len(), Vec::new);
+                for &(succ, delta, w) in kernel.iter() {
+                    let delta = delta as usize;
+                    let dst = &mut next[succ as usize];
+                    let top = (src.len() - 1 + delta).min(cap);
+                    if dst.len() <= top {
+                        dst.resize(top + 1, 0.0);
+                    }
+                    for (b, &x) in src.iter().enumerate() {
+                        dst[(b + delta).min(cap)] += w * x;
+                    }
+                }
+            }
+            mass = next;
+        }
+        let den = spec.attack_den() as f64;
+        let mut out = WeakOutcome { ta: 0.0, pa: 0.0 };
+        for (id, bases) in mass.iter().enumerate() {
+            for (base, &x) in bases.iter().enumerate() {
+                let (ta, some) = sw.outcome_nums(id, base as u32);
+                out.ta += x * (ta as f64 / den);
+                out.pa += x * ((some - ta) as f64 / den);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn split_mass_transfer_is_bit_identical_to_the_clamped_loop() {
+        let cases = [
+            (Graph::complete(2), 12),
+            (Graph::complete(3), 9),
+            (Graph::ring(4), 6),
+            (Graph::star(4), 6),
+            (Graph::line(3), 8),
+        ];
+        for (graph, rounds) in cases {
+            let graph = graph.unwrap();
+            for spec in [
+                DpSpec::protocol_s(5),
+                DpSpec::eager(3),
+                DpSpec::message_validity(7),
+                DpSpec::threshold(2),
+            ] {
+                for p in [0.0, 0.05, 0.3, 1.0] {
+                    let got = weak_outcomes(&graph, rounds, &spec, p).unwrap();
+                    let want = weak_outcomes_clamped(&graph, rounds, &spec, p);
+                    assert_eq!(
+                        (got.ta.to_bits(), got.pa.to_bits()),
+                        (want.ta.to_bits(), want.pa.to_bits()),
+                        "{graph:?} {spec:?} p = {p}: {got:?} vs {want:?}"
+                    );
+                }
+            }
+        }
     }
 }
