@@ -320,7 +320,7 @@ fn counts_and_tokens(states: &[CountingState<u8>]) -> impl Iterator<Item = (u32,
 ///
 /// [`DpSpec::validate_params`], and [`CaError::Model`] for a run that
 /// [`Run::validate`] rejects on `graph` (a process-count mismatch, or a
-/// slot on a non-edge or outside the horizon).
+/// slot on a non-edge).
 pub(crate) fn final_states(
     graph: &Graph,
     run: &Run,
@@ -336,7 +336,7 @@ pub(crate) fn final_states(
         }
         let msgs: Vec<CountingMsg<u8>> = states.iter().map(CountingState::to_msg).collect();
         let mut inbox: Vec<Vec<CountingMsg<u8>>> = vec![Vec::new(); m];
-        run.for_each_message_in_round(Round::new(r), |slot| {
+        run.messages_in_round(Round::new(r)).for_each(|slot| {
             inbox[slot.to.index()].push(msgs[slot.from.index()].clone());
         });
         for (i, inbox_i) in inbox.into_iter().enumerate() {

@@ -157,9 +157,13 @@ pub enum FaultPrimitive {
     /// Replays a synchronous [`Run`]: the send at tick `t` belongs to round
     /// `t / ticks_per_round + 1`, and any message whose `(from, to, round)`
     /// slot is *not* in `M(R)` is destroyed — including every send past the
-    /// run's horizon. The run serializes as its canonical sorted slot list,
-    /// so schedules embedding one stay readable, diffable, and
-    /// byte-deterministic (the coin-stream keying below depends on that).
+    /// run's horizon, since `M(R)` holds only rounds `1..=N`. The run
+    /// serializes as its canonical sorted slot list, so schedules embedding
+    /// one stay readable, diffable, and byte-deterministic (the coin-stream
+    /// keying below depends on that). A schedule file whose run lists a
+    /// slot outside its matrix (past its horizon, or a process `≥ m`) or
+    /// names a matrix over [`ca_core::run::MAX_RUN_WORDS`] fails to parse
+    /// with a typed error.
     ReplayRun {
         /// The synchronous run to replay.
         run: Run,

@@ -43,11 +43,12 @@ use ca_async::experiments::registry;
 use ca_async::{Arrival, CourierSpec, FaultSchedule, HuntConfig, HuntReport, ServeConfig};
 use ca_async::{ServeReport, ServeTotals};
 use ca_bench::profile::{self, ProfileConfig, ProfileReport};
+use ca_core::bitset::BitSet;
 use ca_core::exec::execute;
 use ca_core::graph::Graph;
 use ca_core::ids::{ProcessId, Round};
 use ca_core::level::{levels, modified_levels};
-use ca_core::run::Run;
+use ca_core::run::{MsgSlot, Run};
 use ca_core::tape::TapeSet;
 use ca_obs::Snapshot;
 use ca_protocols::ProtocolS;
@@ -65,7 +66,7 @@ struct Command {
     name: &'static str,
     /// Flags and summary for `--help`; empty when [`FLAGS_HELP`] covers it.
     help: &'static str,
-    run: fn(&Opts, &Graph, &Run) -> Result<(), String>,
+    run: fn(&Opts, &Graph) -> Result<(), String>,
 }
 
 /// Every subcommand, in `--help` order. The usage line, the help text, and
@@ -422,8 +423,16 @@ fn parse_opts(args: &[String], takes_ids: bool) -> Result<Opts, String> {
     Ok(opts)
 }
 
+/// The run `levels`, `trace`, `simulate` and `exact` (without `--sweep`)
+/// analyse: the good `--rounds` run, cut by `--cut` and `--drop-link`.
+/// `Run::from_parts` refuses an oversized `--rounds` before allocating.
 fn build_run(graph: &Graph, opts: &Opts) -> Result<Run, String> {
-    let mut run = Run::good(graph, opts.rounds);
+    let n = opts.rounds;
+    let good = graph
+        .directed_edges()
+        .flat_map(|(a, b)| Round::protocol_rounds(n).map(move |r| MsgSlot::new(a, b, r)));
+    let mut run = Run::from_parts(graph.len(), n, BitSet::full(graph.len()), good)
+        .map_err(|e| format!("--rounds {n}: {e}"))?;
     if let Some(cut) = opts.cut {
         run.cut_from_round(Round::new(cut));
     }
@@ -459,8 +468,7 @@ fn main() -> ExitCode {
     let result = match COMMANDS.iter().find(|c| c.name == command) {
         Some(c) => parse_opts(&args[1..], c.name == "expt").and_then(|opts| {
             let graph = parse_graph(&opts.graph)?;
-            let run = build_run(&graph, &opts)?;
-            (c.run)(&opts, &graph, &run)
+            (c.run)(&opts, &graph)
         }),
         None => Err(format!("unknown command `{command}`")),
     };
@@ -656,7 +664,8 @@ impl GatedReport for HuntReport {
 // Commands.
 // ---------------------------------------------------------------------------
 
-fn levels_cmd(_: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
+fn levels_cmd(opts: &Opts, graph: &Graph) -> Result<(), String> {
+    let run = &build_run(graph, opts)?;
     print!("{}", render_run(run));
     let l = levels(run);
     let ml = modified_levels(run);
@@ -673,7 +682,8 @@ fn levels_cmd(_: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
     Ok(())
 }
 
-fn trace_cmd(opts: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
+fn trace_cmd(opts: &Opts, graph: &Graph) -> Result<(), String> {
+    let run = &build_run(graph, opts)?;
     let proto = ProtocolS::new(opts.epsilon);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let tapes = TapeSet::random(&mut rng, graph.len(), 64);
@@ -682,20 +692,21 @@ fn trace_cmd(opts: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
     Ok(())
 }
 
-fn simulate_cmd(opts: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
+fn simulate_cmd(opts: &Opts, graph: &Graph) -> Result<(), String> {
     let report = simulate(
         &ProtocolS::new(opts.epsilon),
         graph,
-        &FixedRun::new(run.clone()),
+        &FixedRun::new(build_run(graph, opts)?),
         SimConfig::new(opts.trials, opts.seed),
     );
     println!("{report}");
     Ok(())
 }
 
-fn exact_cmd(opts: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
+fn exact_cmd(opts: &Opts, graph: &Graph) -> Result<(), String> {
     let t = opts.integer_t()?;
     if !opts.sweep {
+        let run = &build_run(graph, opts)?;
         let out = protocol_s_outcomes(graph, run, t);
         let ml = modified_levels(run).min_level();
         println!("ML(R) = {ml}, ε = 1/{t}");
@@ -718,7 +729,7 @@ fn exact_cmd(opts: &Opts, graph: &Graph, run: &Run) -> Result<(), String> {
     publish(&report, opts, |json| println!("{json}"))
 }
 
-fn chaos_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
+fn chaos_cmd(opts: &Opts, graph: &Graph) -> Result<(), String> {
     let config = CampaignConfig {
         schedules: opts.schedules,
         seed: opts.seed,
@@ -742,7 +753,11 @@ fn chaos_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
     write_out(opts, &json)
 }
 
-fn hunt_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
+fn hunt_cmd(opts: &Opts, graph: &Graph) -> Result<(), String> {
+    // Every candidate induces a dense `--rounds` run: check its shape once,
+    // before the search builds one per candidate.
+    Run::from_parts(graph.len(), opts.rounds, BitSet::new(graph.len()), [])
+        .map_err(|e| format!("--rounds {}: {e}", opts.rounds))?;
     let mut config = HuntConfig::quick(opts.seed);
     config.generations = opts.generations;
     config.population = opts.population.max(1);
@@ -772,7 +787,7 @@ fn hunt_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
     })
 }
 
-fn expt_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
+fn expt_cmd(opts: &Opts, _: &Graph) -> Result<(), String> {
     let all = registry();
     if opts.list {
         for e in &all {
@@ -848,7 +863,7 @@ fn expt_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
     }
 }
 
-fn profile_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
+fn profile_cmd(opts: &Opts, _: &Graph) -> Result<(), String> {
     if !ca_obs::ENABLED {
         return Err("this `ca` was built without observability; \
                     rebuild with the default features (or `--features obs`) \
@@ -872,7 +887,7 @@ fn profile_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
     })
 }
 
-fn serve_cmd(opts: &Opts, graph: &Graph, _: &Run) -> Result<(), String> {
+fn serve_cmd(opts: &Opts, graph: &Graph) -> Result<(), String> {
     let t = opts.integer_t()?;
     // Base config: the fixed smoke preset (chaos schedule + open-loop
     // overload) or a plain reliable closed-loop service sized by --graph.
@@ -959,7 +974,7 @@ fn print_serve_summary(t: &ServeTotals, shards: usize, timed: bool) {
     }
 }
 
-fn sweep_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
+fn sweep_cmd(opts: &Opts, _: &Graph) -> Result<(), String> {
     // Big-graph scenario sweep: observed TA/PA/NA frontiers per topology ×
     // weak adversary, as byte-stable JSON (no clocks, integer tallies,
     // per-trial seed streams). The human-readable table goes to stderr so
@@ -974,7 +989,7 @@ fn sweep_cmd(opts: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
     })
 }
 
-fn graphs_cmd(_: &Opts, _: &Graph, _: &Run) -> Result<(), String> {
+fn graphs_cmd(_: &Opts, _: &Graph) -> Result<(), String> {
     println!("k<m>  line<m>  ring<m>  star<m>  grid<r>x<c>  torus<r>x<c>  cube<d>");
     Ok(())
 }

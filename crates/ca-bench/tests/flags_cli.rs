@@ -66,3 +66,35 @@ fn boundary_values_are_accepted() {
         );
     }
 }
+
+/// Runs `ca args…` under a 2 GiB address-space cap, so a command that
+/// tried to allocate a 4-billion-round run would abort.
+fn ca_capped(args: &[&str]) -> Output {
+    Command::new("sh")
+        .args(["-c", "ulimit -v 2097152; exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_ca"))
+        .args(args)
+        .output()
+        .expect("run ca under a capped address space")
+}
+
+#[test]
+fn oversized_rounds_are_an_error_only_where_a_run_is_built() {
+    let rounds = ["--graph", "k2", "--rounds", "4000000000"];
+    // `graphs` builds no run, so `--rounds` costs it nothing.
+    let output = ca_capped(&[&["graphs"][..], &rounds].concat());
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "graphs: {err}");
+    // The commands that build the dense run, and `hunt`, which builds one
+    // per candidate, refuse the shape before allocating it.
+    for command in ["levels", "trace", "simulate", "exact", "hunt"] {
+        let output = ca_capped(&[&[command][..], &rounds].concat());
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{command}: {err}");
+        assert!(
+            err.starts_with("error: --rounds 4000000000"),
+            "{command}: {err}"
+        );
+        assert!(err.contains("MAX_RUN_WORDS"), "{command}: {err}");
+    }
+}

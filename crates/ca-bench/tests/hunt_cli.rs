@@ -15,6 +15,10 @@
 //!   re-scores to the same feasible damage.
 //! * **The `--compare` drift gate** — passes on identical runs, fails on a
 //!   different seed.
+//! * **The golden** — `ca hunt --graph k2 --seed 7`, the report CI gates,
+//!   matches `tests/golden/hunt_k2_seed7.json` byte for byte. The hunt
+//!   scores the dense runs its candidates induce, so this pins `Run` as
+//!   well as the search.
 //!
 //! Deliberately NOT gated on the `obs` feature: the hunt must run (and stay
 //! deterministic) with observability compiled out.
@@ -32,6 +36,10 @@ fn tmp_path(name: &str) -> PathBuf {
     path.push(format!("ca_hunt_cli_{}_{name}.json", std::process::id()));
     path
 }
+
+/// `ca hunt --graph k2 --seed 7`'s report. An intended change to the search
+/// or the scoring regenerates it with `--out` and says why.
+const GOLDEN: &str = include_str!("golden/hunt_k2_seed7.json");
 
 /// Small-but-converging scale (seed 7 on k2): fast enough for CI, deep
 /// enough that the search reaches the prefix-cut floor.
@@ -84,6 +92,28 @@ fn hunt_report_is_byte_identical_across_thread_counts() {
     for out in [&out_1, &out_2, &out_8, &out_again] {
         let _ = std::fs::remove_file(out);
     }
+}
+
+#[test]
+fn hunt_report_matches_the_checked_in_golden() {
+    let out = tmp_path("golden");
+    let output = ca_bin()
+        .args(["hunt", "--graph", "k2", "--seed", "7", "--out"])
+        .arg(&out)
+        .output()
+        .expect("run ca hunt");
+    assert!(
+        output.status.success(),
+        "ca hunt exited with {}: {}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let report = std::fs::read_to_string(&out).expect("read report");
+    let _ = std::fs::remove_file(&out);
+    assert!(
+        report == GOLDEN,
+        "ca hunt --graph k2 --seed 7 drifted from tests/golden/hunt_k2_seed7.json"
+    );
 }
 
 #[test]

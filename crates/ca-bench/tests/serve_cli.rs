@@ -5,8 +5,9 @@
 //! invocations AND across worker counts (`--threads 1/2/8`) — because
 //! shards are the unit of parallelism and each shard's virtual-time queue
 //! is sequential. Also pins graceful degradation (the smoke preset must
-//! shed or time out work, never hang or lose it) and the `--compare`
-//! drift/regression gate.
+//! shed or time out work, never hang or lose it), the `--compare`
+//! drift/regression gate, and `ca serve --smoke --report`, the report CI
+//! gates, byte for byte against `tests/golden/serve_smoke.json`.
 //!
 //! Deliberately NOT gated on the `obs` feature: unlike `ca profile`, the
 //! service must run (and stay deterministic) with observability compiled
@@ -25,6 +26,10 @@ fn tmp_path(name: &str) -> PathBuf {
     path.push(format!("ca_serve_cli_{}_{name}.json", std::process::id()));
     path
 }
+
+/// `ca serve --smoke --report`'s report. An intended change to the service
+/// or the async engine regenerates it with `--out` and says why.
+const GOLDEN: &str = include_str!("golden/serve_smoke.json");
 
 fn run_smoke(threads: &str, out: &PathBuf) -> String {
     let output = ca_bin()
@@ -68,6 +73,28 @@ fn serve_report_is_byte_identical_across_thread_counts() {
     for out in [&out_1, &out_2, &out_8, &out_again] {
         let _ = std::fs::remove_file(out);
     }
+}
+
+#[test]
+fn smoke_report_matches_the_checked_in_golden() {
+    let out = tmp_path("golden");
+    let output = ca_bin()
+        .args(["serve", "--smoke", "--report", "--out"])
+        .arg(&out)
+        .output()
+        .expect("run ca serve --smoke --report");
+    assert!(
+        output.status.success(),
+        "ca serve exited with {}: {}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let report = std::fs::read_to_string(&out).expect("read report");
+    let _ = std::fs::remove_file(&out);
+    assert!(
+        report == GOLDEN,
+        "ca serve --smoke --report drifted from tests/golden/serve_smoke.json"
+    );
 }
 
 #[test]

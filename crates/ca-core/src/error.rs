@@ -33,8 +33,8 @@ pub enum ModelError {
         /// The vertex with the self-loop.
         vertex: usize,
     },
-    /// A run referenced a message slot that does not exist
-    /// (non-edge, or round outside `1..=N`).
+    /// A run referenced a message slot that does not exist (a non-edge, or
+    /// a slot outside the run's `m × m × N` matrix).
     InvalidMessageSlot {
         /// Reason the slot is invalid.
         reason: &'static str,

@@ -326,7 +326,7 @@ fn execute_outputs_impl<'s, P: Protocol>(
         }
         let states = &scratch.states;
         let inboxes = &mut scratch.inboxes;
-        run.for_each_message_in_round(r, |slot| {
+        run.messages_in_round(r).for_each(|slot| {
             let ctx = Ctx::new(graph, n, slot.from);
             let msg = protocol.message(ctx, &states[slot.from.index()], slot.to);
             inboxes[slot.to.index()].push((slot.from, msg));

@@ -189,14 +189,13 @@ fn eq_lanes(a: &[u64], b: &[u64]) -> u64 {
 
 impl SlicedEngine {
     /// Builds an engine for `base` under `spec`, or `None` when the instance
-    /// does not fit the sliced representation: fewer than two processes,
-    /// slots outside the bit matrix (overflow), or state/slot counts past
-    /// the size guards. `None` means "use the scalar engine", never an
-    /// error.
+    /// does not fit the sliced representation: fewer than two processes, or
+    /// state/slot counts past the size guards. `None` means "use the scalar
+    /// engine", never an error.
     pub fn new(base: &Run, spec: SlicedSpec) -> Option<SlicedEngine> {
         let m = base.process_count();
         let n = base.horizon();
-        if m < 2 || base.overflow_slot_count() != 0 {
+        if m < 2 {
             return None;
         }
         let slots = base.message_count();
@@ -487,7 +486,6 @@ impl SlicedEngine {
 mod tests {
     use super::*;
     use crate::graph::Graph;
-    use crate::ids::Round;
 
     #[test]
     fn lane_comparisons() {
@@ -507,12 +505,6 @@ mod tests {
         assert!(
             SlicedEngine::new(&Run::empty(1, 3), spec).is_none(),
             "m < 2"
-        );
-        let mut overflow = Run::good(&g, 2);
-        overflow.add_message(ProcessId::new(0), ProcessId::new(1), Round::new(9));
-        assert!(
-            SlicedEngine::new(&overflow, spec).is_none(),
-            "overflow slots force the scalar path"
         );
         assert!(SlicedEngine::new(&Run::good(&g, 4), spec).is_some());
     }

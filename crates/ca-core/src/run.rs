@@ -13,10 +13,12 @@
 //! (bit `from·m + to`). Membership ([`Run::delivers`]) is a single mask test,
 //! per-round iteration walks set bits with `trailing_zeros`, and
 //! equality/subset/union are word-wise compares — the same machinery as
-//! [`crate::bitset::BitSet`]. Slots outside the matrix (a round beyond the
-//! horizon, a process id `≥ m`) are kept in a small sorted side list so a
-//! `Run` can still hold — and [`Run::validate`] can still reject — arbitrary
-//! slots, exactly as the previous `BTreeSet` representation did.
+//! [`crate::bitset::BitSet`]. The matrix is the whole run: nothing outside
+//! it (a round outside `1..=n`, a process id `≥ m`) is a slot.
+//! [`Run::add_message`] panics on such a slot, as [`Run::add_input`] does on
+//! an input `≥ m`, and queries about one answer false. Runs from outside
+//! the program, `Run`'s deserializer among them, go through
+//! [`Run::from_parts`], which returns a typed error instead.
 //!
 //! The canonical slot order is unchanged: [`Run::messages`] yields slots
 //! sorted by `(from, to, round)` and [`Run::messages_in_round`] by
@@ -27,13 +29,13 @@
 //! On the wire a run is still the explicit slot list
 //! `{m, n, inputs, messages: [{from, to, round}, ...]}` — chaos-schedule
 //! replay files stay readable, and files written by older versions parse
-//! unchanged.
+//! unchanged as long as every slot lies inside the matrix.
 
 use crate::bitset::BitSet;
 use crate::error::{CaError, ModelError};
-use crate::graph::Graph;
+use crate::graph::{Graph, MAX_PROCESSES};
 use crate::ids::{ProcessId, Round};
-use serde::ser::{Serialize, SerializeSeq, SerializeStruct, Serializer};
+use serde::ser::{Serialize, SerializeStruct, Serializer};
 use std::fmt;
 
 /// A directed message slot `(from, to, round)`: the message sent by `from` to
@@ -91,12 +93,14 @@ pub struct Run {
     /// Round-major delivery matrix: `words_per_round` words per round
     /// `1..=n`, bit `from·m + to` within a round's block.
     words: Vec<u64>,
-    /// Slots outside the matrix (round ∉ `1..=n` or a process id ≥ `m`),
-    /// sorted by `(from, to, round)`.
-    overflow: Vec<MsgSlot>,
-    /// Cached `|M(R)|` (matrix bits + overflow slots).
+    /// Cached `|M(R)|`, the matrix's popcount.
     msg_count: usize,
 }
+
+/// The largest delivery matrix [`Run::from_parts`] accepts, in `u64` words:
+/// 2^24 words (128 MiB), e.g. 16M rounds on two processes or 256 rounds on
+/// [`MAX_PROCESSES`].
+pub const MAX_RUN_WORDS: usize = 1 << 24;
 
 impl Run {
     /// The empty run over `m` processes and horizon `n`: no inputs, no
@@ -107,9 +111,45 @@ impl Run {
             n,
             inputs: BitSet::new(m),
             words: vec![0; n as usize * Self::words_per_round(m)],
-            overflow: Vec::new(),
             msg_count: 0,
         }
+    }
+
+    /// Builds a run from its parts, checking each one: the way in for runs
+    /// from outside the program (files, `ca`'s `--rounds`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ModelError`] when `m` exceeds [`MAX_PROCESSES`], the
+    /// matrix exceeds [`MAX_RUN_WORDS`] (both checked before allocating),
+    /// `inputs` is not over `m` processes, or a slot lies outside the matrix.
+    pub fn from_parts(
+        m: usize,
+        n: u32,
+        inputs: BitSet,
+        messages: impl IntoIterator<Item = MsgSlot>,
+    ) -> Result<Run, ModelError> {
+        let invalid = |name, reason| Err(ModelError::InvalidParameter { name, reason });
+        if m > MAX_PROCESSES {
+            let max = MAX_PROCESSES;
+            return Err(ModelError::TooManyProcesses { got: m, max });
+        }
+        if Self::words_per_round(m).saturating_mul(n as usize) > MAX_RUN_WORDS {
+            return invalid("n", "m·m·n bits exceed MAX_RUN_WORDS (2^24 words)");
+        }
+        if inputs.capacity() != m {
+            return invalid("inputs", "capacity is not the process count m");
+        }
+        let mut run = Run::empty(m, n);
+        run.inputs = inputs;
+        for s in messages {
+            if run.slot_pos(s.from, s.to, s.round).is_none() {
+                let reason = "slot outside the run's processes 0..m and rounds 1..=N";
+                return Err(ModelError::InvalidMessageSlot { reason });
+            }
+            run.add_message(s.from, s.to, s.round);
+        }
+        Ok(run)
     }
 
     /// The "good" run: every process receives the input and every message on
@@ -143,7 +183,7 @@ impl Run {
     }
 
     /// The `(word index, bit mask)` of an in-matrix slot, or `None` for a
-    /// slot the matrix cannot represent (stored in the overflow list).
+    /// slot outside the matrix.
     fn slot_pos(&self, from: ProcessId, to: ProcessId, round: Round) -> Option<(usize, u64)> {
         let (f, t, r) = (from.index(), to.index(), round.get());
         if f < self.m && t < self.m && r >= 1 && r <= self.n {
@@ -197,43 +237,30 @@ impl Run {
         self
     }
 
-    /// Returns whether the message `(from, to, round)` is delivered.
+    /// Returns whether the message `(from, to, round)` is delivered (false
+    /// for any slot outside the matrix).
     #[inline]
     pub fn delivers(&self, from: ProcessId, to: ProcessId, round: Round) -> bool {
-        match self.slot_pos(from, to, round) {
-            Some((w, mask)) => self.words[w] & mask != 0,
-            None => self
-                .overflow
-                .binary_search(&MsgSlot::new(from, to, round))
-                .is_ok(),
-        }
-    }
-
-    /// Returns whether the slot is delivered.
-    #[inline]
-    pub fn delivers_slot(&self, slot: MsgSlot) -> bool {
-        self.delivers(slot.from, slot.to, slot.round)
+        self.slot_pos(from, to, round)
+            .is_some_and(|(w, mask)| self.words[w] & mask != 0)
     }
 
     /// Adds a delivered message `(from, to, round)`.
     ///
-    /// The caller is responsible for only adding slots that correspond to
-    /// graph edges and rounds `1..=n`; [`Run::validate`] checks this.
+    /// Whether the slot is an edge of the graph is [`Run::validate`]'s
+    /// check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot lies outside the matrix: a process id `≥ m` or a
+    /// round outside `1..=n`.
     pub fn add_message(&mut self, from: ProcessId, to: ProcessId, round: Round) -> &mut Self {
-        match self.slot_pos(from, to, round) {
-            Some((w, mask)) => {
-                if self.words[w] & mask == 0 {
-                    self.words[w] |= mask;
-                    self.msg_count += 1;
-                }
-            }
-            None => {
-                let slot = MsgSlot::new(from, to, round);
-                if let Err(i) = self.overflow.binary_search(&slot) {
-                    self.overflow.insert(i, slot);
-                    self.msg_count += 1;
-                }
-            }
+        let (w, mask) = self
+            .slot_pos(from, to, round)
+            .expect("message slot outside the run");
+        if self.words[w] & mask == 0 {
+            self.words[w] |= mask;
+            self.msg_count += 1;
         }
         self
     }
@@ -241,32 +268,22 @@ impl Run {
     /// Removes (destroys) a delivered message, returning whether it was present.
     pub fn remove_message(&mut self, from: ProcessId, to: ProcessId, round: Round) -> bool {
         match self.slot_pos(from, to, round) {
-            Some((w, mask)) => {
-                let present = self.words[w] & mask != 0;
-                if present {
-                    self.words[w] &= !mask;
-                    self.msg_count -= 1;
-                }
-                present
+            Some((w, mask)) if self.words[w] & mask != 0 => {
+                self.words[w] &= !mask;
+                self.msg_count -= 1;
+                true
             }
-            None => {
-                if let Ok(i) = self.overflow.binary_search(&MsgSlot::new(from, to, round)) {
-                    self.overflow.remove(i);
-                    self.msg_count -= 1;
-                    true
-                } else {
-                    false
-                }
-            }
+            _ => false,
         }
     }
 
-    /// Iterates over the matrix slots in canonical `(from, to, round)` order.
+    /// Iterates over the delivered message slots in canonical `(from, to,
+    /// round)` order.
     ///
     /// An occupancy pass first ORs every round block together, so only pairs
     /// delivered in at least one round get their per-round probe — sparse
     /// runs skip absent pairs wholesale instead of probing `m² · n` bits.
-    fn matrix_slots(&self) -> impl Iterator<Item = MsgSlot> + '_ {
+    pub fn messages(&self) -> impl Iterator<Item = MsgSlot> + '_ {
         let m = self.m;
         let n = self.n;
         let wpr = Self::words_per_round(m);
@@ -303,107 +320,35 @@ impl Run {
         })
     }
 
-    /// Merges two slot iterators that are each sorted in canonical order.
-    /// (Matrix and overflow slots are disjoint, so `<=` never ties.)
-    fn merge_sorted<'a>(
-        a: impl Iterator<Item = MsgSlot> + 'a,
-        b: impl Iterator<Item = MsgSlot> + 'a,
-    ) -> impl Iterator<Item = MsgSlot> + 'a {
-        let mut a = a.peekable();
-        let mut b = b.peekable();
-        std::iter::from_fn(move || match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                if x <= y {
-                    a.next()
-                } else {
-                    b.next()
-                }
-            }
-            (Some(_), None) => a.next(),
-            (None, _) => b.next(),
-        })
-    }
-
-    /// Iterates over the delivered message slots in sorted order.
-    pub fn messages(&self) -> impl Iterator<Item = MsgSlot> + '_ {
-        Self::merge_sorted(self.matrix_slots(), self.overflow.iter().copied())
-    }
-
-    /// Iterates over delivered messages of one round, sorted by `(from, to)`.
+    /// Iterates over delivered messages of one round, sorted by `(from, to)`
+    /// (none outside `1..=n`).
+    ///
+    /// Hot loops (the execution engine, the level gossip) visit every round
+    /// of a run once per trial through `for_each`, which folds the word
+    /// scan into one loop per block word.
     pub fn messages_in_round(&self, round: Round) -> impl Iterator<Item = MsgSlot> + '_ {
-        let m = self.m;
-        let r = round.get();
+        let (m, r) = (self.m, round.get() as usize);
         let wpr = Self::words_per_round(m);
-        let block = if r >= 1 && r <= self.n {
-            &self.words[(r as usize - 1) * wpr..(r as usize) * wpr]
+        let block = if r >= 1 && r <= self.n as usize {
+            &self.words[(r - 1) * wpr..r * wpr]
         } else {
             &[]
         };
-        let mut word = 0usize;
-        let mut bits = block.first().copied().unwrap_or(0);
-        let matrix = std::iter::from_fn(move || loop {
-            if bits != 0 {
-                let tz = bits.trailing_zeros() as usize;
+        block.iter().enumerate().flat_map(move |(word, &bits)| {
+            let mut bits = bits;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let pair = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let pair = word * 64 + tz;
-                return Some(MsgSlot::new(
+                Some(MsgSlot::new(
                     ProcessId::new((pair / m) as u32),
                     ProcessId::new((pair % m) as u32),
                     round,
-                ));
-            }
-            word += 1;
-            if word >= block.len() {
-                return None;
-            }
-            bits = block[word];
-        });
-        let over = self
-            .overflow
-            .iter()
-            .copied()
-            .filter(move |s| s.round == round);
-        Self::merge_sorted(matrix, over)
-    }
-
-    /// Calls `f` for every delivered slot of `round` in canonical `(from,
-    /// to)` order — the internal-iteration twin of [`Self::messages_in_round`].
-    ///
-    /// Hot loops (the execution engine, the level gossip) visit every round
-    /// of a run once per trial; driving the word scan directly avoids
-    /// constructing the merge iterator 2·N times per trial.
-    pub fn for_each_message_in_round(&self, round: Round, mut f: impl FnMut(MsgSlot)) {
-        let m = self.m;
-        let r = round.get();
-        let wpr = Self::words_per_round(m);
-        let mut over = self
-            .overflow
-            .iter()
-            .filter(|s| s.round == round)
-            .copied()
-            .peekable();
-        if r >= 1 && r <= self.n {
-            let block = &self.words[(r as usize - 1) * wpr..(r as usize) * wpr];
-            for (word, &bits) in block.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let pair = word * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let slot = MsgSlot::new(
-                        ProcessId::new((pair / m) as u32),
-                        ProcessId::new((pair % m) as u32),
-                        round,
-                    );
-                    while over.peek().is_some_and(|o| *o < slot) {
-                        f(over.next().expect("peeked"));
-                    }
-                    f(slot);
-                }
-            }
-        }
-        for slot in over {
-            f(slot);
-        }
+                ))
+            })
+        })
     }
 
     /// Number of delivered messages `|M(R)|`.
@@ -414,16 +359,6 @@ impl Run {
     /// Number of input tuples `|I(R)|`.
     pub fn input_count(&self) -> usize {
         self.inputs.len()
-    }
-
-    /// Number of delivered slots stored in the sorted overflow vector rather
-    /// than the bit matrix (slots beyond the matrix's round capacity).
-    ///
-    /// Always 0 for runs whose messages all fit the packed representation —
-    /// the common case, and the fast path the Monte Carlo engine relies on;
-    /// the observability layer surfaces it as `run.overflow_slots`.
-    pub fn overflow_slot_count(&self) -> usize {
-        self.overflow.len()
     }
 
     /// Destroys every message sent in rounds `>= round`, on every edge.
@@ -437,9 +372,6 @@ impl Run {
             self.msg_count -= w.count_ones() as usize;
             *w = 0;
         }
-        let before = self.overflow.len();
-        self.overflow.retain(|s| s.round < round);
-        self.msg_count -= before - self.overflow.len();
         self
     }
 
@@ -462,10 +394,6 @@ impl Run {
                 }
             }
         }
-        let before = self.overflow.len();
-        self.overflow
-            .retain(|s| !(s.from == from && s.to == to && s.round >= round));
-        self.msg_count -= before - self.overflow.len();
         self
     }
 
@@ -479,10 +407,6 @@ impl Run {
                 .iter()
                 .zip(&other.words)
                 .all(|(a, b)| a & !b == 0)
-            && self
-                .overflow
-                .iter()
-                .all(|s| other.overflow.binary_search(s).is_ok())
     }
 
     /// The union of two runs.
@@ -498,22 +422,12 @@ impl Run {
         for (a, b) in out.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
-        for s in &other.overflow {
-            if let Err(i) = out.overflow.binary_search(s) {
-                out.overflow.insert(i, *s);
-            }
-        }
-        out.msg_count = out
-            .words
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum::<usize>()
-            + out.overflow.len();
+        out.msg_count = out.words.iter().map(|w| w.count_ones() as usize).sum();
         out
     }
 
-    /// Validates that every message slot corresponds to an edge of `graph`
-    /// and a round in `1..=n`, and that dimensions match.
+    /// Validates that every message slot corresponds to an edge of `graph`,
+    /// and that dimensions match.
     ///
     /// # Errors
     ///
@@ -526,11 +440,6 @@ impl Run {
             });
         }
         for s in self.messages() {
-            if s.round.get() < 1 || s.round.get() > self.n {
-                return Err(ModelError::InvalidMessageSlot {
-                    reason: "round outside 1..=N",
-                });
-            }
             if !graph.has_edge(s.from, s.to) {
                 return Err(ModelError::InvalidMessageSlot {
                     reason: "message slot on a non-edge",
@@ -616,7 +525,8 @@ impl DeliverySource for Run {
     }
 
     fn for_each_delivery_in_round(&self, round: Round, mut f: impl FnMut(ProcessId, ProcessId)) {
-        self.for_each_message_in_round(round, |slot| f(slot.from, slot.to));
+        self.messages_in_round(round)
+            .for_each(|slot| f(slot.from, slot.to));
     }
 }
 
@@ -822,7 +732,6 @@ impl Clone for Run {
             n: self.n,
             inputs: self.inputs.clone(),
             words: self.words.clone(),
-            overflow: self.overflow.clone(),
             msg_count: self.msg_count,
         }
     }
@@ -835,7 +744,6 @@ impl Clone for Run {
         self.n = source.n;
         self.inputs.clone_from(&source.inputs);
         self.words.clone_from(&source.words);
-        self.overflow.clone_from(&source.overflow);
         self.msg_count = source.msg_count;
     }
 }
@@ -844,21 +752,11 @@ impl Serialize for Run {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         // Keep the wire format of the old derived impl: the message matrix
         // goes out as the explicit sorted slot list.
-        struct SlotList<'a>(&'a Run);
-        impl Serialize for SlotList<'_> {
-            fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-                let mut seq = serializer.serialize_seq(Some(self.0.message_count()))?;
-                for s in self.0.messages() {
-                    seq.serialize_element(&s)?;
-                }
-                seq.end()
-            }
-        }
         let mut st = serializer.serialize_struct("Run", 4)?;
         st.serialize_field("m", &self.m)?;
         st.serialize_field("n", &self.n)?;
         st.serialize_field("inputs", &self.inputs)?;
-        st.serialize_field("messages", &SlotList(self))?;
+        st.serialize_field("messages", &self.messages().collect::<Vec<_>>())?;
         st.end()
     }
 }
@@ -868,15 +766,13 @@ impl serde::de::Deserialize for Run {
         let obj = value.as_object().ok_or_else(|| {
             serde::json::Error::custom(format!("expected object for Run, got {}", value.kind()))
         })?;
-        let m: usize = serde::de::field(obj, "m")?;
-        let n: u32 = serde::de::field(obj, "n")?;
-        let mut run = Run::empty(m, n);
-        run.inputs = serde::de::field(obj, "inputs")?;
-        let messages: Vec<MsgSlot> = serde::de::field(obj, "messages")?;
-        for s in messages {
-            run.add_message(s.from, s.to, s.round);
-        }
-        Ok(run)
+        Run::from_parts(
+            serde::de::field(obj, "m")?,
+            serde::de::field(obj, "n")?,
+            serde::de::field(obj, "inputs")?,
+            serde::de::field::<Vec<MsgSlot>>(obj, "messages")?,
+        )
+        .map_err(serde::json::Error::custom)
     }
 }
 
@@ -992,9 +888,6 @@ mod tests {
             run.validate(&g),
             Err(ModelError::InvalidMessageSlot { .. })
         ));
-        let mut run = Run::empty(3, 3);
-        run.add_message(p(0), p(1), r(4)); // round out of range
-        assert!(run.validate(&g).is_err());
     }
 
     #[test]
@@ -1057,26 +950,22 @@ mod tests {
     }
 
     #[test]
-    fn out_of_matrix_slots_round_trip_through_overflow() {
-        let mut run = Run::empty(2, 2);
-        run.add_message(p(0), p(1), r(9)); // round beyond the horizon
-        run.add_message(p(7), p(0), r(1)); // process beyond m
-        assert!(run.delivers(p(0), p(1), r(9)));
-        assert!(run.delivers_slot(MsgSlot::new(p(7), p(0), r(1))));
-        assert_eq!(run.message_count(), 2);
-        let slots: Vec<_> = run.messages().collect();
-        assert_eq!(
-            slots,
-            vec![
-                MsgSlot::new(p(0), p(1), r(9)),
-                MsgSlot::new(p(7), p(0), r(1)),
-            ]
-        );
-        assert_eq!(run.messages_in_round(r(9)).count(), 1);
-        assert!(run.remove_message(p(0), p(1), r(9)));
-        assert!(!run.delivers(p(0), p(1), r(9)));
-        run.cut_from_round(r(1));
-        assert_eq!(run.message_count(), 0);
+    fn out_of_matrix_queries_answer_false() {
+        let g = Graph::complete(2).unwrap();
+        let mut run = Run::good(&g, 2);
+        assert!(!run.delivers(p(0), p(1), r(9)), "round beyond the horizon");
+        assert!(!run.delivers(p(0), p(1), r(0)), "the input round");
+        assert!(!run.delivers(p(7), p(0), r(1)), "process beyond m");
+        assert!(!run.remove_message(p(0), p(1), r(9)));
+        assert_eq!(run.messages_in_round(r(9)).count(), 0);
+        run.cut_link_from_round(p(7), p(0), r(1));
+        assert_eq!(run, Run::good(&g, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the run")]
+    fn add_message_outside_the_matrix_panics() {
+        Run::empty(2, 2).add_message(p(0), p(1), r(3));
     }
 
     #[test]
@@ -1182,5 +1071,56 @@ mod tests {
         assert!(run.delivers(p(1), p(0), r(2)));
         // And it re-serializes to the same wire format.
         assert_eq!(serde::json::to_string(&run).unwrap(), json);
+    }
+
+    /// Deserializes a run of `m` processes over `n` rounds whose input set
+    /// has `capacity` and whose slot list is `messages`.
+    fn parse(m: usize, n: u32, capacity: usize, messages: &str) -> Result<Run, String> {
+        let blocks = vec!["0"; capacity.div_ceil(64)].join(",");
+        let json = format!(
+            r#"{{"m":{m},"n":{n},"inputs":{{"blocks":[{blocks}],"capacity":{capacity}}},"messages":[{messages}]}}"#
+        );
+        serde::json::from_str::<Run>(&json).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn deserializer_rejects_slots_outside_the_matrix() {
+        let slot =
+            |f: u32, t: u32, round: u32| format!(r#"{{"from":{f},"to":{t},"round":{round}}}"#);
+        assert!(parse(2, 1, 2, &slot(0, 1, 1)).is_ok());
+        // Past the horizon, round 0 (the input round), a process ≥ m.
+        for bad in [slot(0, 1, 2), slot(1, 0, 0), slot(0, 2, 1)] {
+            let err = parse(2, 1, 2, &bad).unwrap_err();
+            assert!(err.contains("slot outside the run"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn deserializer_rejects_inputs_of_another_capacity() {
+        let err = parse(2, 1, 3, "").unwrap_err();
+        assert!(err.contains("`inputs`"), "{err}");
+        assert!(parse(3, 1, 3, "").is_ok());
+    }
+
+    #[test]
+    fn deserializer_rejects_oversized_shapes_before_allocating() {
+        // m = n = 2^20 would ask for 2^56 words; the checks come first.
+        let err = parse(1 << 20, 1 << 20, 0, "").unwrap_err();
+        assert!(err.contains("at most 2048"), "{err}");
+        let err = parse(MAX_PROCESSES + 1, 1, MAX_PROCESSES + 1, "").unwrap_err();
+        assert!(err.contains("at most 2048"), "{err}");
+        // Two processes take one word per round: the cap is its round count.
+        let err = parse(2, MAX_RUN_WORDS as u32 + 1, 2, "").unwrap_err();
+        assert!(err.contains("MAX_RUN_WORDS"), "{err}");
+        let err = parse(2, u32::MAX, 2, "").unwrap_err();
+        assert!(err.contains("MAX_RUN_WORDS"), "{err}");
+        // On MAX_PROCESSES a round is 2^16 words, so 256 rounds fit.
+        let at_cap = Run::from_parts(MAX_PROCESSES, 256, BitSet::new(MAX_PROCESSES), []);
+        assert_eq!(at_cap.map(|r| r.horizon()), Ok(256));
+        let over = Run::from_parts(MAX_PROCESSES, 257, BitSet::new(MAX_PROCESSES), []);
+        assert!(matches!(
+            over,
+            Err(ModelError::InvalidParameter { name: "n", .. })
+        ));
     }
 }

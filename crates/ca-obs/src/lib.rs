@@ -75,9 +75,6 @@ pub enum CounterId {
     /// Delivery slots flipped (messages destroyed) by adversary samplers
     /// while producing a run.
     RunSlotsFlipped,
-    /// Slots that landed in the run's sorted overflow vector instead of the
-    /// bit matrix, summed over sampled runs (0 on the fast path).
-    RunOverflowSlots,
     /// Monte Carlo trials completed.
     SimTrials,
     /// Trials that took the fixed-run fast path (no sampling, hoisted
@@ -168,7 +165,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Number of counters in the registry.
-    pub const COUNT: usize = 40;
+    pub const COUNT: usize = 39;
 
     /// Every counter, in canonical registry (report) order.
     pub const ALL: [CounterId; Self::COUNT] = [
@@ -178,7 +175,6 @@ impl CounterId {
         CounterId::ExecTapeBitsConsumed,
         CounterId::RunSamples,
         CounterId::RunSlotsFlipped,
-        CounterId::RunOverflowSlots,
         CounterId::SimTrials,
         CounterId::SimFixedRunTrials,
         CounterId::SimTapeRefills,
@@ -223,7 +219,6 @@ impl CounterId {
             CounterId::ExecTapeBitsConsumed => "exec.tape_bits_consumed",
             CounterId::RunSamples => "run.samples",
             CounterId::RunSlotsFlipped => "run.slots_flipped",
-            CounterId::RunOverflowSlots => "run.overflow_slots",
             CounterId::SimTrials => "sim.trials",
             CounterId::SimFixedRunTrials => "sim.fixed_run_trials",
             CounterId::SimTapeRefills => "sim.tape_refills",

@@ -7,7 +7,7 @@
 //! using a non-constant [`RunSampler`].
 //!
 //! Sampling is deterministic given the seed: trial `t` uses an RNG seeded by
-//! `splitmix(seed, t)`, independent of thread scheduling, so every experiment
+//! `mix64(seed, t)`, independent of thread scheduling, so every experiment
 //! in EXPERIMENTS.md is exactly reproducible.
 //!
 //! Two execution paths produce the (byte-identical) reports: the scalar
@@ -17,7 +17,7 @@
 //! iid-drop samplers. [`simulate`] picks the sliced path whenever it
 //! applies; differential tests pin the two paths to each other.
 
-use crate::chaos::parallel_map;
+use crate::chaos::{mix64, parallel_map};
 use crate::stats::{BernoulliEstimate, RunningStats};
 use crate::strategy::{RunSampler, SlicedSampler};
 use ca_core::error::CaError;
@@ -166,23 +166,15 @@ impl SimConfig {
     }
 }
 
-/// SplitMix64: decorrelates per-trial seeds from the base seed.
-fn splitmix(seed: u64, index: u64) -> u64 {
-    let mut z = seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Domain-separation tag for the common-random-numbers stream of
 /// [`worst_disagreement`].
 ///
-/// Member seeds come from a *re-keyed* SplitMix stream,
-/// `splitmix(splitmix(seed, CRN_STREAM), k)`: mixing the tag through the
+/// Member seeds come from a *re-keyed* SplitMix64 stream,
+/// `mix64(mix64(seed, CRN_STREAM), k)`: mixing the tag through the
 /// full avalanche **before** indexing puts the member seeds on a different
-/// stream from the per-trial `splitmix(seed, t)` inside [`simulate`], so the
+/// stream from the per-trial `mix64(seed, t)` inside [`simulate`], so the
 /// two stay structurally disjoint however large `trials` or the family
-/// grow. (The previous scheme, `splitmix(seed, k + 0x5EED)`, merely offset
+/// grow. (The previous scheme, `mix64(seed, k + 0x5EED)`, merely offset
 /// the *same* stream by `0x5EED = 24301` — per-trial seeds collide with it
 /// as soon as `trials > 0x5EED`, making member `k`'s trials correlate with
 /// trials `0x5EED + k` of any simulation sharing the base seed.)
@@ -190,7 +182,7 @@ const CRN_STREAM: u64 = 0x43524E_5354524D; // "CRN" "STRM"
 
 /// The derived seed of family member `k` under the CRN scheme.
 fn crn_member_seed(seed: u64, k: u64) -> u64 {
-    splitmix(splitmix(seed, CRN_STREAM), k)
+    mix64(mix64(seed, CRN_STREAM), k)
 }
 
 /// Runs `config.trials` independent executions of `protocol` on runs drawn
@@ -280,7 +272,7 @@ where
             // One worker-local RNG, reseeded per trial from the SplitMix
             // stream: trial t's draws are a function of (seed, t) alone,
             // whatever worker runs it.
-            rng = StdRng::seed_from_u64(splitmix(config.seed, t));
+            rng = StdRng::seed_from_u64(mix64(config.seed, t));
             let run: &Run = match fixed_run {
                 Some(run) => {
                     obs.inc(CounterId::SimFixedRunTrials);
@@ -331,7 +323,7 @@ where
 ///
 /// The per-trial `(seed, t)` determinism contract is preserved exactly:
 /// lane `t mod 64` of group `t / 64` reseeds
-/// `StdRng::seed_from_u64(splitmix(seed, t))` and replays the scalar draw
+/// `StdRng::seed_from_u64(mix64(seed, t))` and replays the scalar draw
 /// order — sampler coins first (one `gen_bool(p)` per base slot in canonical
 /// slot order), then the leader's tape words — so the returned report is
 /// **byte-identical** to [`simulate_scalar`]'s for the same `(seed,
@@ -411,7 +403,7 @@ where
             let mut flipped_total = 0u64;
             for (lane, kept) in kept_lanes.iter_mut().take(active).enumerate() {
                 let t = first + lane as u64;
-                rng = StdRng::seed_from_u64(splitmix(config.seed, t));
+                rng = StdRng::seed_from_u64(mix64(config.seed, t));
                 match sliced {
                     SlicedSampler::Fixed(_) => {
                         *kept = slot_count as u64;
@@ -528,12 +520,12 @@ where
 ///
 /// Each family member `k` is simulated under its own derived seed
 /// `crn_member_seed(seed, k)` — a common-random-numbers scheme on a
-/// domain-separated SplitMix stream (the private `CRN_STREAM` tag): run `k`
+/// domain-separated SplitMix64 stream (the private `CRN_STREAM` tag): run `k`
 /// always
 /// sees the same trial randomness no matter which other runs share the
 /// family, so estimates are comparable across invocations and adding or
 /// removing candidates never perturbs the others' numbers, and the member
-/// seeds can never collide with the per-trial stream `splitmix(seed, t)`
+/// seeds can never collide with the per-trial stream `mix64(seed, t)`
 /// used inside [`simulate`].
 ///
 /// Ties in the estimated disagreement are broken toward the **first** index
@@ -592,9 +584,11 @@ mod tests {
 
     #[test]
     fn splitmix_spreads_seeds() {
-        let a = splitmix(42, 0);
-        let b = splitmix(42, 1);
-        let c = splitmix(43, 0);
+        // The per-trial seeds `simulate` derives through `mix64`
+        // (SplitMix64) differ across trial indices and across base seeds.
+        let a = mix64(42, 0);
+        let b = mix64(42, 1);
+        let c = mix64(43, 0);
         assert_ne!(a, b);
         assert_ne!(a, c);
     }
@@ -720,13 +714,13 @@ mod tests {
 
     #[test]
     fn crn_stream_is_disjoint_from_trial_seeds() {
-        // Regression: the pre-fix scheme `splitmix(seed, k + 0x5EED)` is the
+        // Regression: the pre-fix scheme `mix64(seed, k + 0x5EED)` is the
         // per-trial stream offset by 24301, so member k's seed equaled trial
         // (0x5EED + k)'s seed exactly.
         let seed = 42u64;
         let trial_seeds: std::collections::HashSet<u64> =
-            (0..30_000).map(|t| splitmix(seed, t)).collect();
-        let old_member_seed = splitmix(seed, 5 + 0x5EED);
+            (0..30_000).map(|t| mix64(seed, t)).collect();
+        let old_member_seed = mix64(seed, 5 + 0x5EED);
         assert!(
             trial_seeds.contains(&old_member_seed),
             "sanity: the pre-fix scheme collides with the per-trial stream"

@@ -30,7 +30,7 @@ pub trait RunSampler: Sync {
     }
 
     /// [`RunSampler::sample_into`] reporting sampling counters (runs drawn,
-    /// slots flipped, overflow-vector hits) to an observability sink.
+    /// slots flipped) to an observability sink.
     ///
     /// Produces exactly the run and RNG draws of [`RunSampler::sample_into`];
     /// the default implementation records only the sample count, and
@@ -43,10 +43,6 @@ pub trait RunSampler: Sync {
     ) {
         self.sample_into(run, rng);
         obs.inc(ca_obs::CounterId::RunSamples);
-        obs.add(
-            ca_obs::CounterId::RunOverflowSlots,
-            run.overflow_slot_count() as u64,
-        );
     }
 
     /// The constant run this sampler always produces, if any.
@@ -201,10 +197,6 @@ impl RunSampler for RandomRun {
         let flipped = self.thin(run, rng);
         obs.inc(ca_obs::CounterId::RunSamples);
         obs.add(ca_obs::CounterId::RunSlotsFlipped, flipped);
-        obs.add(
-            ca_obs::CounterId::RunOverflowSlots,
-            run.overflow_slot_count() as u64,
-        );
     }
 }
 

@@ -313,10 +313,6 @@ impl RunSampler for WeakAdversary {
         let flipped = self.drop_into(run, rng);
         obs.inc(ca_obs::CounterId::RunSamples);
         obs.add(ca_obs::CounterId::RunSlotsFlipped, flipped);
-        obs.add(
-            ca_obs::CounterId::RunOverflowSlots,
-            run.overflow_slot_count() as u64,
-        );
     }
 
     fn sliced(&self) -> Option<SlicedSampler<'_>> {

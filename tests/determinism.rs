@@ -3,7 +3,7 @@
 //! count or scheduling.
 //!
 //! Trial `t` draws all its randomness from an RNG seeded
-//! `splitmix(seed, t)`, so whichever worker executes trial `t` produces the
+//! `mix64(seed, t)`, so whichever worker executes trial `t` produces the
 //! same outcome, and the merged report is invariant under the static
 //! partition of trials across workers.
 
