@@ -13,15 +13,16 @@
 //! * **Protocol A** — the only randomness is `rfire ~ U{2..N}`; we execute
 //!   the real protocol once per possible value and tally.
 //!
-//! The Protocol S functions read the final counts and token possession from
-//! [`crate::level_dp::run_outcomes`]'s engine, which steps the real
-//! Figure 1 automaton over the run, and integrate over `rfire` with
+//! The Protocol S functions read the final counts as modified levels
+//! (Lemma 6.4) from the sparse level frontier, as
+//! [`crate::level_dp::run_outcomes`] does, and integrate over `rfire` with
 //! [`DpSpec`]'s firing rule. `tests/level_dp_differential.rs` holds that
 //! engine to executions of `ProtocolS` itself.
 
-use crate::level_dp::{final_states, run_outcomes, DpSpec};
+use crate::level_dp::{run_outcomes, DpSpec};
 use ca_core::exec::execute;
 use ca_core::graph::Graph;
+use ca_core::level::modified_levels;
 use ca_core::rational::Rational;
 use ca_core::run::Run;
 use ca_core::tape::{BitTape, TapeSet};
@@ -108,8 +109,9 @@ pub fn protocol_a_outcomes(graph: &Graph, run: &Run, n: u32) -> ExactOutcome {
 }
 
 /// Exact per-process decision probabilities `Pr[D_i|R]` of Protocol S on
-/// `run`: `min(1, ε·count_i)` for token holders with `count ≥ 1`, else 0 —
-/// [`DpSpec::attack_prob`] of each final state.
+/// `run`: `min(1, ε·count_i)` for `count_i ≥ 1` (which implies the token),
+/// else 0 — [`DpSpec::attack_prob`] of each final count, read as the
+/// modified level `ML_i(R)` (Lemma 6.4).
 ///
 /// These are the quantities the paper's elementary Lemmas 2.2 and 2.3 bound:
 /// `Pr[D_i|R] − Pr[D_j|R] ≤ U_s(F)` and `L(F,R) ≤ Pr[D_i|R]` — asserted over
@@ -120,10 +122,12 @@ pub fn protocol_a_outcomes(graph: &Graph, run: &Run, n: u32) -> ExactOutcome {
 /// Panics if `t == 0` or [`Run::validate`] rejects `run` on `graph`.
 pub fn protocol_s_decision_probabilities(graph: &Graph, run: &Run, t: u64) -> Vec<Rational> {
     let spec = DpSpec::protocol_s(t);
-    let states = final_states(graph, run, &spec).unwrap_or_else(|e| panic!("{e}"));
-    states
-        .iter()
-        .map(|s| spec.attack_prob(s.count, s.token.is_some()))
+    spec.validate_params().unwrap_or_else(|e| panic!("{e}"));
+    run.validate(graph).unwrap_or_else(|e| panic!("{e}"));
+    modified_levels(run)
+        .final_levels()
+        .into_iter()
+        .map(|count| spec.attack_prob(count, count >= 1))
         .collect()
 }
 
@@ -161,8 +165,8 @@ pub fn protocol_a_worst_pa(graph: &Graph, family: &[Run], n: u32) -> (Rational, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{dense_levels, final_extremes};
     use ca_core::ids::{ProcessId, Round};
-    use ca_core::level::modified_levels;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -176,7 +180,7 @@ mod tests {
             for t in [2u64, 8, 20] {
                 let run = Run::good(&g, n);
                 let out = protocol_s_outcomes(&g, &run, t);
-                let ml = modified_levels(&run).min_level();
+                let ml = final_extremes(&dense_levels(&run, true)).0;
                 assert_eq!(ml, n);
                 let predicted = Rational::new(ml as i128, t as i128).min(Rational::ONE);
                 assert_eq!(out.ta, predicted, "n={n}, t={t}");
@@ -203,7 +207,6 @@ mod tests {
     fn s_survives_crash_stop_failures() {
         // Crash-stop is a special case of link failure: the bound holds and
         // liveness still follows min(1, ε·ML) exactly.
-        use ca_core::level::modified_levels;
         let g = Graph::complete(3).unwrap();
         let n = 6;
         let t = 5u64;
@@ -211,7 +214,7 @@ mod tests {
         for run in ca_sim::crash_family(&g, n) {
             let out = protocol_s_outcomes(&g, &run, t);
             assert!(out.pa <= eps, "PA = {} > ε on crash run {run}", out.pa);
-            let ml = modified_levels(&run).min_level();
+            let ml = final_extremes(&dense_levels(&run, true)).0;
             assert_eq!(
                 out.ta,
                 (eps * Rational::from(ml)).min(Rational::ONE),
@@ -331,7 +334,6 @@ mod tests {
     #[test]
     fn lemma_5_3_decision_probability_bounded_by_u_times_level() {
         // Pr[D_i|R] ≤ U_s(F)·L_i(R) with U_s(S) = ε, exactly.
-        use ca_core::level::levels;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let g = Graph::complete(3).unwrap();
@@ -352,9 +354,9 @@ mod tests {
                 }
             }
             let probs = protocol_s_decision_probabilities(&g, &run, t);
-            let l = levels(&run);
+            let l = dense_levels(&run, false);
             for (i, &pi) in g.vertices().zip(&probs) {
-                let bound = (eps * Rational::from(l.level(i))).min(Rational::ONE);
+                let bound = (eps * Rational::from(l[i.index()][4])).min(Rational::ONE);
                 assert!(pi <= bound, "Lemma 5.3: Pr[D_{i}] = {pi} > ε·L_i = {bound}");
             }
         }

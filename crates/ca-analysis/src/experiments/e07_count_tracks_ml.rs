@@ -2,9 +2,9 @@
 //!
 //! `count_i^r = ML_i^r(R)` for every process, every round, every run. We
 //! execute the real protocol on a large census of random runs across
-//! topologies and compare against the independent gossip-DP level
-//! computation (which is itself cross-validated against the literal recursive
-//! definition in `ca-core`'s tests). Zero mismatches expected.
+//! topologies and compare against `modified_levels`, the sparse level
+//! frontier's per-round counts (held in `ca-core`'s tests to the dense gossip
+//! DP and the literal recursive definition). Zero mismatches expected.
 
 use super::{Experiment, ExperimentResult, Scale};
 use crate::report::Table;

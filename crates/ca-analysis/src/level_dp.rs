@@ -37,10 +37,11 @@
 //! probability mass per `(class, base)` instead of a set of reachable bases.
 //!
 //! [`run_outcomes`] is the per-run engine behind every exact outcome of the
-//! Figure 1 family: it steps the same automaton over one fixed run, and
-//! [`DpSpec::outcome`] integrates the firing rule over the final counts and
-//! tokens. [`crate::exact::protocol_s_outcomes`], the hunt's ranking and the
-//! asynchronous closed form all read their outcomes from those two.
+//! Figure 1 family: Lemma 6.4 makes the final counts over one fixed run the
+//! modified levels, so it reads their extremes off the sparse level frontier
+//! ([`ca_core::level`]), and [`DpSpec::outcome`] integrates the firing rule
+//! over them. [`crate::exact::protocol_s_outcomes`], the hunt's ranking and
+//! the asynchronous closed form all read their outcomes from those two.
 //!
 //! # Fidelity and the enumeration-as-oracle contract
 //!
@@ -65,7 +66,8 @@ use crate::exact::ExactOutcome;
 use ca_core::bitset::BitSet;
 use ca_core::error::CaError;
 use ca_core::graph::Graph;
-use ca_core::ids::{ProcessId, Round};
+use ca_core::ids::ProcessId;
+use ca_core::level::{modified_level_extremes_into, LevelScratch};
 use ca_core::rational::Rational;
 use ca_core::run::Run;
 use ca_obs::{CounterId, Metrics, SpanId};
@@ -289,7 +291,35 @@ impl DpSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Per-run exact outcomes (direct stepping of the real automaton)
+// Per-run exact outcomes (the level frontier's extremes)
+// ---------------------------------------------------------------------------
+
+/// Exact outcome probabilities of the DP-eligible protocol `spec` on one
+/// fixed run. This is the one per-run exact engine of the Figure 1 family —
+/// Protocol S and its eager and message-validity variants, and the
+/// deterministic threshold rule — with no limit on `t`.
+///
+/// Lemma 6.4 makes each process's final count its modified level `ML_i(R)`,
+/// and a count `≥ 1` implies the token. Every attack numerator is
+/// nondecreasing in the count, so the least and greatest attack
+/// probabilities are those of `min_i ML_i(R)` and `max_i ML_i(R)`
+/// (Theorems 6.7 and 6.8): [`DpSpec::outcome`] of the frontier's extremes,
+/// the same read `ca sweep` classifies with.
+///
+/// # Errors
+///
+/// [`DpSpec::validate_params`], and [`CaError::Model`] for a run that
+/// [`Run::validate`] rejects on `graph` (a process-count mismatch, or a
+/// slot on a non-edge).
+pub fn run_outcomes(graph: &Graph, run: &Run, spec: &DpSpec) -> Result<ExactOutcome, CaError> {
+    spec.validate_params()?;
+    run.validate(graph)?;
+    let (lo, hi) = modified_level_extremes_into(run, &mut LevelScratch::new());
+    Ok(spec.outcome([(lo, lo >= 1), (hi, hi >= 1)]))
+}
+
+// ---------------------------------------------------------------------------
+// Structural states: packing, interning
 // ---------------------------------------------------------------------------
 
 /// The automata before round 1: the leader holds the token, and a process
@@ -303,69 +333,6 @@ fn initial_states(graph: &Graph, has_input: impl Fn(ProcessId) -> bool) -> Vec<C
         })
         .collect()
 }
-
-/// The `(count, token)` pairs [`DpSpec`]'s firing rule reads.
-fn counts_and_tokens(states: &[CountingState<u8>]) -> impl Iterator<Item = (u32, bool)> + '_ {
-    states.iter().map(|s| (s.count, s.token.is_some()))
-}
-
-/// The joint automaton state at the end of `run`: the real
-/// [`CountingState`] stepped once per round over the run's deliveries
-/// (counts and token possession are `rfire`-independent). Stops early once
-/// every process fires with probability 1 under `spec`: counts never
-/// decrease and the token is never revoked, so every attack probability
-/// stays 1.
-///
-/// # Errors
-///
-/// [`DpSpec::validate_params`], and [`CaError::Model`] for a run that
-/// [`Run::validate`] rejects on `graph` (a process-count mismatch, or a
-/// slot on a non-edge).
-pub(crate) fn final_states(
-    graph: &Graph,
-    run: &Run,
-    spec: &DpSpec,
-) -> Result<Vec<CountingState<u8>>, CaError> {
-    spec.validate_params()?;
-    run.validate(graph)?;
-    let m = graph.len();
-    let mut states = initial_states(graph, |i| run.has_input(i));
-    for r in 1..=run.horizon() {
-        if spec.outcome_nums(counts_and_tokens(&states)).0 == spec.attack_den() {
-            break; // saturated: TA is certain and stays certain
-        }
-        let msgs: Vec<CountingMsg<u8>> = states.iter().map(CountingState::to_msg).collect();
-        let mut inbox: Vec<Vec<CountingMsg<u8>>> = vec![Vec::new(); m];
-        run.messages_in_round(Round::new(r)).for_each(|slot| {
-            inbox[slot.to.index()].push(msgs[slot.from.index()].clone());
-        });
-        for (i, inbox_i) in inbox.into_iter().enumerate() {
-            if !inbox_i.is_empty() {
-                states[i].process_messages(m, ProcessId::new(i as u32), &inbox_i);
-            }
-        }
-    }
-    Ok(states)
-}
-
-/// Exact outcome probabilities of the DP-eligible protocol `spec` on one
-/// fixed run: [`DpSpec::outcome`] of the final automaton state. This is the
-/// one per-run exact engine of the Figure 1 family — Protocol S and its
-/// eager and message-validity variants, and the deterministic threshold
-/// rule — with no limit on `t`.
-///
-/// # Errors
-///
-/// [`DpSpec::validate_params`], and [`CaError::Model`] for a run that
-/// [`Run::validate`] rejects on `graph`.
-pub fn run_outcomes(graph: &Graph, run: &Run, spec: &DpSpec) -> Result<ExactOutcome, CaError> {
-    let states = final_states(graph, run, spec)?;
-    Ok(spec.outcome(counts_and_tokens(&states)))
-}
-
-// ---------------------------------------------------------------------------
-// Structural states: packing, interning
-// ---------------------------------------------------------------------------
 
 /// A process's key bits other than its count: valid, token and seen-set.
 fn flag_bits(s: &CountingState<u8>) -> u16 {
@@ -825,6 +792,23 @@ impl Sweeper {
         }
     }
 
+    /// Adds `rounds` more steps of a frontier at its fixed point to the work
+    /// counters, in closed form. `before` holds the counters as they stood
+    /// before the step that found the fixed point: each further step visits
+    /// the same classes and clips the same kernel edges, and every one of
+    /// its kernels is now a hit.
+    fn repeat_step(&mut self, before: DpStats, rounds: u32, obs: &Metrics) {
+        let rounds = u64::from(rounds);
+        let visited = (self.stats.states_visited - before.states_visited) * rounds;
+        let collapses = (self.stats.collapses - before.collapses) * rounds;
+        self.stats.states_visited += visited;
+        self.stats.kernel_hits += visited;
+        self.stats.collapses += collapses;
+        obs.add(CounterId::ExactDpStates, visited);
+        obs.add(CounterId::ExactDpKernelHits, visited);
+        obs.add(CounterId::ExactDpCollapses, collapses);
+    }
+
     /// Per-round certainty test: TA is nondecreasing in the base (every
     /// attack probability is), so a class reaches TA = 1 iff its highest
     /// reachable base is at least its `certain` threshold. True iff some
@@ -906,6 +890,13 @@ impl Sweeper {
     }
 }
 
+/// Whether two frontiers hold the same base set for every class, a class
+/// past either's end holding none.
+fn same_frontier(a: &[BaseSet], b: &[BaseSet]) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    short == &long[..short.len()] && long[short.len()..].iter().all(BaseSet::is_empty)
+}
+
 /// Runs the level-vector DP over **all** runs of horizon ≤ `rounds` (every
 /// input subset × every per-round delivery pattern) and returns the exactly
 /// computed worst-case curve: `max_R Pr[TA|R]` at every horizon (recorded at
@@ -915,7 +906,11 @@ impl Sweeper {
 ///
 /// Time is `O(rounds · classes · kernel-edges)` plus one kernel computation
 /// (`Σ_j 2^indeg(j)` automaton steps) per structural class — polynomial in
-/// `rounds` where enumeration is exponential.
+/// `rounds` where enumeration is exponential. Once a step leaves the
+/// frontier unchanged (checked at power-of-two rounds) every later round
+/// repeats it: the sweep stops there, reads the remaining checkpoints off
+/// the fixed frontier and adds the remaining rounds' work counters in
+/// closed form, so the report is the one stepping every round would give.
 pub fn sweep(
     graph: &Graph,
     rounds: u32,
@@ -956,12 +951,25 @@ pub fn sweep(
         record(&mut sw, &frontier, 0);
 
         for r in 1..=rounds {
+            // Every kernel holds its class's empty-delivery edge (the class
+            // itself, delta 0), so the frontier only grows, and a step that
+            // leaves it unchanged leaves it unchanged for good. Checking
+            // only at power-of-two rounds before the last keeps the test
+            // off the loop.
+            let before = (r.is_power_of_two() && r < rounds).then(|| (frontier.clone(), sw.stats));
             sw.step(&mut frontier, &mut next, &obs);
             std::mem::swap(&mut frontier, &mut next);
             if first_certain.is_none() && sw.ta_certain(&frontier) {
                 first_certain = Some(r);
             }
             record(&mut sw, &frontier, r);
+            if let Some((_, stats)) = before.filter(|(prev, _)| same_frontier(prev, &frontier)) {
+                sw.repeat_step(stats, rounds - r, &obs);
+                for &c in wanted.iter().filter(|&&c| c > r) {
+                    record(&mut sw, &frontier, c);
+                }
+                break;
+            }
         }
 
         let last = curve.last().copied().unwrap_or(CurvePoint {
@@ -1103,7 +1111,8 @@ pub fn worst_case_by_enumeration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ca_core::level::modified_levels;
+    use crate::oracle::dense_levels;
+    use ca_core::ids::Round;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
@@ -1269,7 +1278,7 @@ mod tests {
     #[test]
     fn run_outcomes_matches_the_closed_form_on_thinned_runs() {
         // Lemma 6.4 (final count_i = ML_i(R)) makes Theorems 6.7/6.8 a closed
-        // form over modified levels, computed without the automaton: process
+        // form over modified levels, here from the dense gossip oracle: process
         // i attacks with probability min(1, (ML_i + slack)/t) if ML_i ≥ 1.
         let mut rng = StdRng::seed_from_u64(91);
         for m in [2usize, 3] {
@@ -1287,10 +1296,10 @@ mod tests {
                         run.remove_message(s.from, s.to, s.round);
                     }
                 }
-                let ml = modified_levels(&run);
+                let ml = dense_levels(&run, true);
                 for t in [2u64, 7] {
                     for slack in [0u32, 1] {
-                        let p = |i: ProcessId| match ml.level(i) {
+                        let p = |i: ProcessId| match ml[i.index()][5] {
                             0 => Rational::ZERO,
                             l => rat(i128::from(l + slack).min(t as i128), t as i128),
                         };
@@ -1460,6 +1469,99 @@ mod tests {
         assert_eq!(good.unwrap().ta, rat(2, i128::from(MAX_DP_T + 1)));
         assert!(DpSpec::threshold(0).validate_params().is_err());
         assert!(DpSpec::protocol_s(0).validate_params().is_err());
+    }
+
+    /// [`sweep`] stepping every round, with no stop at the fixed point, and
+    /// the first round whose step left the frontier unchanged.
+    fn sweep_every_round(
+        graph: &Graph,
+        rounds: u32,
+        spec: &DpSpec,
+        checkpoints: &[u32],
+    ) -> (SweepReport, Option<u32>) {
+        let obs = Metrics::new();
+        let mut sw = Sweeper::new(graph, spec);
+        let mut frontier = sw.start(graph);
+        let mut next = Vec::new();
+        let (mut curve, mut first_certain, mut fixed) = (Vec::new(), None, None);
+        for round in 0..=rounds {
+            if round > 0 {
+                let prev = frontier.clone();
+                sw.step(&mut frontier, &mut next, &obs);
+                std::mem::swap(&mut frontier, &mut next);
+                if first_certain.is_none() && sw.ta_certain(&frontier) {
+                    first_certain = Some(round);
+                }
+                if fixed.is_none() && same_frontier(&prev, &frontier) {
+                    fixed = Some(round);
+                }
+            }
+            if round == rounds || checkpoints.contains(&round) {
+                let (max_ta, max_pa) = sw.extremes(&frontier, &obs);
+                curve.push(CurvePoint {
+                    round,
+                    max_ta,
+                    max_pa,
+                });
+            }
+        }
+        obs.flush();
+        let last = *curve.last().expect("the final round");
+        let report = SweepReport {
+            schema: 1,
+            m: graph.len(),
+            rounds,
+            spec: *spec,
+            first_certain_round: first_certain,
+            final_max_ta: last.max_ta,
+            u_s: last.max_pa,
+            curve,
+            stats: sw.stats,
+        };
+        (report, fixed)
+    }
+
+    #[test]
+    fn the_sweep_stops_at_the_frontier_fixed_point() {
+        // Instances whose frontier stops changing before the first power of
+        // two below N, so the stop is taken: report and counters must equal
+        // stepping every round.
+        let cases = [
+            (Graph::complete(2), DpSpec::protocol_s(2), 50),
+            (Graph::complete(3), DpSpec::protocol_s(10), 40),
+            (Graph::complete(4), DpSpec::protocol_s(2), 12),
+            (Graph::ring(4), DpSpec::eager(5), 30),
+            (Graph::line(5), DpSpec::threshold(4), 40),
+        ];
+        let counters = [
+            CounterId::ExactDpStates,
+            CounterId::ExactDpKernelHits,
+            CounterId::ExactDpKernelMisses,
+            CounterId::ExactDpCollapses,
+        ];
+        for (graph, spec, n) in cases {
+            let graph = graph.unwrap();
+            // `ca exact`'s checkpoints: some before the stop, some after.
+            let checkpoints = [1, n / 4, n / 2, 3 * n / 4];
+            let (got, got_obs) = ca_obs::capture(|| sweep(&graph, n, &spec, &checkpoints).unwrap());
+            let ((want, fixed), want_obs) =
+                ca_obs::capture(|| sweep_every_round(&graph, n, &spec, &checkpoints));
+            let fixed = fixed.expect("the frontier fixes before N");
+            assert!(fixed.next_power_of_two() < n, "{spec:?}: fixed at {fixed}");
+            assert_eq!(got, want, "{graph:?} {spec:?}");
+            for id in counters {
+                assert_eq!(got_obs.counter(id), want_obs.counter(id), "{id:?}");
+            }
+        }
+        // The closed form at the widest horizon: K2 at t = 2 visits 9 classes
+        // per round once fixed, all kernel hits, 3 of them clipping.
+        let n = u32::MAX;
+        let wide = sweep(&Graph::complete(2).unwrap(), n, &DpSpec::protocol_s(2), &[]).unwrap();
+        let n = u64::from(n);
+        assert_eq!(wide.stats.states_visited, 9 * n - 6);
+        assert_eq!(wide.stats.kernel_hits, 9 * n - 15);
+        assert_eq!(wide.stats.collapses, 3 * n - 7);
+        assert_eq!(wide.curve.len(), 1);
     }
 
     #[test]

@@ -31,6 +31,10 @@ pub mod sweep;
 pub mod tradeoff;
 #[cfg(test)]
 mod weak_exact;
+// The level frontier's test oracles, kept with ca-core's tests.
+#[cfg(test)]
+#[path = "../../ca-core/tests/oracle/mod.rs"]
+mod oracle;
 
 pub use exact::{protocol_a_outcomes, protocol_s_outcomes, ExactOutcome};
 pub use experiments::{Experiment, ExperimentResult, Scale};

@@ -7,7 +7,8 @@
 //! possession are deterministic. One reference execution reads them off, and
 //! [`DpSpec::outcome`] integrates the uniform `rfire ∈ (0, 1/ε]` over them —
 //! the same firing rule the synchronous per-run engine,
-//! `ca_analysis::level_dp::run_outcomes`, applies to its final states.
+//! `ca_analysis::level_dp::run_outcomes`, applies to the extremes of the
+//! final counts.
 
 use crate::courier::Courier;
 use crate::engine::{run_async, AsyncConfig};

@@ -1,4 +1,4 @@
-//! Adversary zoo: adaptive fault-schedule search for the paper's worst case.
+//! The adversary zoo: adaptive fault-schedule search for the paper's worst case.
 //!
 //! The `L/U ≤ N` tradeoff (Theorem 2) is an adversarial claim: the boundary
 //! is attained by a specific worst-case adversary, the **prefix cut**, whose
@@ -208,7 +208,7 @@ pub struct GenerationSummary {
 /// instance, pinned against the offline winner.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct OnlineProbe {
-    /// Adversary name.
+    /// The adversary's name.
     pub adversary: String,
     /// The min-level target it strikes at.
     pub target: u32,

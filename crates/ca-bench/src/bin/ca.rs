@@ -719,7 +719,8 @@ fn exact_cmd(opts: &Opts, graph: &Graph) -> Result<(), String> {
     // Exhaustive worst case over ALL runs via the level-vector DP, as
     // byte-stable JSON: no clocks, interned-state order, exact rationals.
     let n = opts.rounds;
-    let mut checkpoints: Vec<u32> = [1, n / 4, n / 2, 3 * n / 4, n]
+    // 3N/4 in u64: `3 * n` overflows u32 past N = 1,431,655,765.
+    let mut checkpoints: Vec<u32> = [1, n / 4, n / 2, (u64::from(n) * 3 / 4) as u32, n]
         .into_iter()
         .filter(|&c| c >= 1)
         .collect();

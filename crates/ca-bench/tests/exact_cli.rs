@@ -38,6 +38,9 @@ const GOLDENS: &[(&str, &str, &str, &str)] = &[
     ("k4", "6", "3", "exact_k4_n6_t3.json"),
     // A sparse graph at the edge cap, with the most classes per round.
     ("ring6", "4", "3", "exact_ring6_n4_t3.json"),
+    // Past the frontier's fixed point (round 4): the sweep stops there and
+    // adds the remaining rounds' counters in closed form.
+    ("k2", "4000000000", "2", "exact_k2_n4000000000_t2.json"),
 ];
 
 #[test]

@@ -2,10 +2,14 @@
 //! reads a file must exit 1 with `error:` (never a panic's 101 or an
 //! abort's 134) and leave `--out` unwritten.
 //!
-//! The cases so far are run shapes. A `Run` inside a `ReplayRun` fault is
+//! Two kinds of case. Run shapes: a `Run` inside a `ReplayRun` fault is
 //! checked once, by its deserializer, on every path that reads one: the
 //! chaos and hunt `--replay` files, `serve --schedule`, and the hunt and
-//! serve `--compare` baselines that embed a schedule.
+//! serve `--compare` baselines that embed a schedule. And a fixed table of
+//! mutations — truncations, a float past f64's range, a string or `null`
+//! for a number — applied to the checked-in goldens and to the hunt
+//! golden's shrunk schedule, through every `--compare`, `--replay` and
+//! `--schedule` reader.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -61,8 +65,9 @@ fn embed(report: &str, anchor: &str, fault: &str) -> String {
     format!("{}{fault},{}", &report[..list], &report[list..])
 }
 
-/// Runs `ca args… FILE --out OUT` and checks the typed failure.
-fn assert_refused(name: &str, args: &[&str], file: &Path, want: &str) {
+/// Runs `ca args… FILE --out OUT`, checks the typed failure and returns its
+/// stderr.
+fn assert_refused(name: &str, args: &[&str], file: &Path, want: &str) -> String {
     let out = tmp_path(&format!("{name}_out"));
     let output = ca_bin()
         .args(args)
@@ -73,9 +78,12 @@ fn assert_refused(name: &str, args: &[&str], file: &Path, want: &str) {
         .expect("run ca");
     let err = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(1), "{name} {args:?}: {err}");
-    assert!(err.starts_with("error: "), "{name} {args:?}: {err}");
+    // `sweep` prints its table on stderr before it reads the baseline.
+    let last = err.lines().last().unwrap_or_default();
+    assert!(last.starts_with("error: "), "{name} {args:?}: {err}");
     assert!(err.contains(want), "{name} {args:?}: {err}");
     assert!(!out.exists(), "{name} {args:?}: --out was written");
+    err.into_owned()
 }
 
 #[test]
@@ -104,5 +112,163 @@ fn bad_replay_runs_are_refused_on_every_file_reading_path() {
             want,
         );
         let _ = std::fs::remove_file(&file);
+    }
+}
+
+/// One fixed damage to a well-formed input file.
+#[derive(Clone, Copy, Debug)]
+enum Mutation {
+    /// Cut the text (trailing whitespace trimmed) after this many eighths.
+    Truncate(usize),
+    /// Replace the target's float field with this literal.
+    Float(&'static str),
+    /// Replace the target's integer field with this literal.
+    Number(&'static str),
+}
+
+const MUTATIONS: &[(&str, Mutation)] = &[
+    ("cut_1_8", Mutation::Truncate(1)),
+    ("cut_1_2", Mutation::Truncate(4)),
+    ("cut_7_8", Mutation::Truncate(7)),
+    // Past f64's range: a parse error, never an infinity that the report
+    // cannot serialize again.
+    ("float_1e400", Mutation::Float("1e400")),
+    ("number_as_string", Mutation::Number("\"7\"")),
+    ("number_as_null", Mutation::Number("null")),
+];
+
+/// `text` with the scalar after the first `"key": ` replaced by `with`.
+fn replace_value(text: &str, key: &str, with: &str) -> String {
+    let pattern = format!("\"{key}\": ");
+    let at = text.find(&pattern).expect("key in the input") + pattern.len();
+    let end = at + text[at..].find([',', '\n', '}']).expect("end of the value");
+    assert!(
+        text[at..end].parse::<f64>().is_ok(),
+        "`{key}` holds a number"
+    );
+    format!("{}{with}{}", &text[..at], &text[end..])
+}
+
+/// The object after `"key": ` in `text`, braces balanced.
+fn object_at<'a>(text: &'a str, key: &str) -> &'a str {
+    let start = text
+        .find(&format!("\"{key}\": {{"))
+        .expect("key in the input")
+        + key.len()
+        + 4;
+    let mut depth = 0;
+    for (i, c) in text[start..].char_indices() {
+        depth += match c {
+            '{' => 1,
+            '}' => -1,
+            _ => 0,
+        };
+        if depth == 0 {
+            return &text[start..=start + i];
+        }
+    }
+    panic!("unbalanced object at `{key}`")
+}
+
+/// A file-reading entry point and the well-formed input it accepts.
+struct Target {
+    /// `ca` arguments up to the file.
+    args: &'static [&'static str],
+    /// The input the mutations damage.
+    text: String,
+    /// The field a [`Mutation::Float`] replaces (an integer one where the
+    /// input has no float).
+    float: &'static str,
+    /// The field a [`Mutation::Number`] replaces.
+    number: &'static str,
+    /// What every refusal names.
+    want: &'static str,
+}
+
+#[test]
+fn mutated_goldens_and_schedules_are_refused() {
+    let hunt = golden("hunt_k2_seed7.json");
+    let shrunk = object_at(&hunt, "shrunk").to_owned();
+    let schedule = |args| Target {
+        args,
+        text: shrunk.clone(),
+        float: "base_latency",
+        number: "start",
+        want: "bad schedule in",
+    };
+    let targets = [
+        Target {
+            args: &["hunt", "--graph", "k2", "--seed", "7", "--compare"],
+            text: hunt.clone(),
+            float: "exact_ta",
+            number: "m",
+            want: "bad hunt report in",
+        },
+        Target {
+            args: &[
+                "sweep",
+                "--m",
+                "96",
+                "--trials",
+                "40",
+                "--seed",
+                "7",
+                "--compare",
+            ],
+            text: golden("sweep_m96_trials40_seed7.json"),
+            float: "p",
+            number: "trials",
+            want: "bad sweep report in",
+        },
+        Target {
+            args: &["serve", "--smoke", "--report", "--compare"],
+            text: golden("serve_smoke.json"),
+            float: "decided_per_kticks",
+            number: "instances",
+            want: "bad serve report in",
+        },
+        Target {
+            args: &[
+                "exact",
+                "--sweep",
+                "--graph",
+                "k4",
+                "--rounds",
+                "2",
+                "--t",
+                "2",
+                "--compare",
+            ],
+            text: golden("exact_k4_n2_t2.json"),
+            float: "rounds",
+            number: "num",
+            want: "bad sweep report in",
+        },
+        schedule(&["chaos", "--graph", "k2", "--t", "4", "--replay"]),
+        schedule(&["hunt", "--graph", "k2", "--replay"]),
+        schedule(&["serve", "--smoke", "--report", "--schedule"]),
+    ];
+    for target in &targets {
+        for &(name, mutation) in MUTATIONS {
+            let text = match mutation {
+                Mutation::Truncate(eighths) => {
+                    let text = target.text.trim_end();
+                    text[..text.len() * eighths / 8].to_owned()
+                }
+                Mutation::Float(with) => replace_value(&target.text, target.float, with),
+                Mutation::Number(with) => replace_value(&target.text, target.number, with),
+            };
+            let file = tmp_path(name);
+            std::fs::write(&file, text).expect("write the mutated input");
+            let err = assert_refused(name, target.args, &file, target.want);
+            if let Mutation::Float(_) = mutation {
+                assert!(
+                    err.contains("out of range"),
+                    "{name} {:?}: {err}",
+                    target.args
+                );
+            }
+            let _ = std::fs::remove_file(&file);
+        }
     }
 }

@@ -10,23 +10,21 @@
 //! both the input *and* the leader's round-0 state `(1, 0)` to flow to the
 //! process (because Protocol S needs every attacker to know `rfire`).
 //!
-//! Three implementations are provided:
+//! One engine computes both: a sparse counting-automaton frontier,
+//! `O(|messages| · m/64)` per round, generic over any [`DeliverySource`]
+//! (dense [`Run`] or edge-keyed [`crate::run::EdgeRun`]).
 //!
-//! * [`min_level_into`] / [`min_modified_level_into`] — a sparse
-//!   counting-automaton frontier, `O(|messages| · m/64)` per round, generic
-//!   over any [`DeliverySource`] (dense [`Run`] or edge-keyed
-//!   [`crate::run::EdgeRun`]); this is the hot path every Monte Carlo trial
+//! * [`min_level_into`], [`modified_level_extremes_into`] and friends read
+//!   the final extremes allocation-free from a reused [`LevelScratch`]; this
+//!   is the hot path every Monte Carlo trial and every per-run exact outcome
 //!   rides. See DESIGN.md §11 for the frontier invariant.
-//! * [`levels`] / [`modified_levels`] — an `O(m²·N)` "gossip" dynamic program
-//!   that mirrors how the levels actually propagate, building the full
-//!   per-round table; it is the differential oracle for the frontier.
-//! * [`level_by_definition`] / [`modified_level_by_definition`] — a direct
-//!   memoized transcription of the recursive definition, used as a test
-//!   oracle.
+//! * [`levels`] / [`modified_levels`] record each process's frontier count
+//!   after every round into a [`LevelTable`].
 //!
 //! # Why the sparse frontier is exact
 //!
-//! The gossip DP carries a full vector `heard[j][i]` per process. But those
+//! The levels propagate as a gossip: each process `j` carries a full vector
+//! `heard[j][i]`, the highest level of `i` it has heard of. But those
 //! vectors obey a spread invariant (the engine-level face of Lemma 6.2): once
 //! `j` has heard that anyone reached height `v ≥ 2`, it must have heard —
 //! transitively, through the same message — that *everyone* reached `v - 1`,
@@ -39,15 +37,19 @@
 //! frontier propagates it in `O(m/64)` per message instead of `O(m)` —
 //! touching only processes that actually receive messages. The unmodified
 //! level `L` is the same automaton with the leader-state requirement dropped
-//! from the base case. `tests/sparse_level_differential.rs` pins the frontier
-//! against the dense DP over sampled graphs and runs.
+//! from the base case.
+//!
+//! The dense `O(m²·N)` gossip DP and a memoized transcription of the
+//! recursive definition are the frontier's test oracles, kept in
+//! `tests/oracle/mod.rs`: this module's tests and
+//! `tests/sparse_level_differential.rs` pin every `(process, round)` of the
+//! tables and the extremes against them over sampled graphs and runs.
 //!
 //! The paper's Lemmas 6.1 and 6.2 (`L_i - 1 ≤ ML_i ≤ L_i`,
 //! `|ML_i - ML_j| ≤ 1`) are asserted in this module's tests and again as
 //! property tests.
 
 use crate::error::CaError;
-use crate::flow::FlowGraph;
 use crate::ids::{ProcessId, Round};
 use crate::run::{DeliverySource, Run};
 use serde::{Deserialize, Serialize};
@@ -117,14 +119,15 @@ impl LevelTable {
     }
 }
 
-/// Computes the level table `L_i^r(R)` for all `i, r`.
+/// Computes the level table `L_i^r(R)` for all `i, r`: the frontier's count
+/// of every process, recorded after every round.
 ///
 /// # Panics
 ///
 /// Panics if the run has fewer than 2 processes (the definition degenerates
 /// for `m = 1`: the `h > 1` clause is vacuous and levels diverge).
 pub fn levels(run: &Run) -> LevelTable {
-    gossip_levels(run, false)
+    frontier_table(run, false)
 }
 
 /// Computes the modified level table `ML_i^r(R)` for all `i, r`.
@@ -137,20 +140,20 @@ pub fn levels(run: &Run) -> LevelTable {
 ///
 /// Panics if the run has fewer than 2 processes.
 pub fn modified_levels(run: &Run) -> LevelTable {
-    gossip_levels(run, true)
+    frontier_table(run, true)
 }
 
 /// Fallible variant of [`levels`]: returns a typed error instead of
 /// panicking when the run has fewer than 2 processes.
 pub fn try_levels(run: &Run) -> Result<LevelTable, CaError> {
     ensure_two_processes(run)?;
-    Ok(gossip_levels(run, false))
+    Ok(frontier_table(run, false))
 }
 
 /// Fallible variant of [`modified_levels`].
 pub fn try_modified_levels(run: &Run) -> Result<LevelTable, CaError> {
     ensure_two_processes(run)?;
-    Ok(gossip_levels(run, true))
+    Ok(frontier_table(run, true))
 }
 
 fn ensure_two_processes(run: &Run) -> Result<(), CaError> {
@@ -163,11 +166,26 @@ fn ensure_two_processes(run: &Run) -> Result<(), CaError> {
     Ok(())
 }
 
+/// The [`LevelTable`] of one frontier pass: row `i` takes process `i`'s count
+/// at round 0 and after each round.
+fn frontier_table(run: &Run, modified: bool) -> LevelTable {
+    let n = run.horizon();
+    let mut table: Vec<Vec<u32>> = (0..run.process_count())
+        .map(|_| Vec::with_capacity(n as usize + 1))
+        .collect();
+    frontier(run, modified, &mut LevelScratch::new(), |nodes| {
+        for (row, node) in table.iter_mut().zip(nodes) {
+            row.push(node.count);
+        }
+    });
+    LevelTable { table, n }
+}
+
 /// Reusable buffers for [`min_level_into`] / [`min_modified_level_into`].
 ///
 /// The Monte Carlo engine asks for one number per trial — `min_i L_i(R)` —
-/// millions of times; a scratch threaded through the loop keeps the gossip
-/// working vectors alive across trials instead of reallocating them.
+/// millions of times; a scratch threaded through the loop keeps the
+/// frontier's working rows alive across trials instead of reallocating them.
 ///
 /// Layout (DESIGN.md §11): the per-process scalars sit in one packed
 /// `Node` array, and the seen-sets and round accumulators are flat
@@ -225,8 +243,7 @@ impl LevelScratch {
 }
 
 /// `L(R) = min_i L_i(R)` without building the full [`LevelTable`] —
-/// allocation-free once the scratch has warmed up, and identical to
-/// `levels(run).min_level()`.
+/// allocation-free once the scratch has warmed up.
 ///
 /// Generic over the delivery representation: dense [`Run`] or sparse
 /// [`crate::run::EdgeRun`].
@@ -235,12 +252,11 @@ impl LevelScratch {
 ///
 /// Panics if the run has fewer than 2 processes.
 pub fn min_level_into<D: DeliverySource + ?Sized>(run: &D, scratch: &mut LevelScratch) -> u32 {
-    frontier_extremes(run, false, scratch).0
+    frontier(run, false, scratch, |_| {}).0
 }
 
 /// `ML(R) = min_i ML_i(R)` without building the full [`LevelTable`] —
-/// allocation-free once the scratch has warmed up, and identical to
-/// `modified_levels(run).min_level()`.
+/// allocation-free once the scratch has warmed up.
 ///
 /// Generic over the delivery representation: dense [`Run`] or sparse
 /// [`crate::run::EdgeRun`].
@@ -252,7 +268,7 @@ pub fn min_modified_level_into<D: DeliverySource + ?Sized>(
     run: &D,
     scratch: &mut LevelScratch,
 ) -> u32 {
-    frontier_extremes(run, true, scratch).0
+    frontier(run, true, scratch, |_| {}).0
 }
 
 /// Final-level extremes `(min_i L_i(R), max_i L_i(R))` in one frontier pass.
@@ -264,7 +280,7 @@ pub fn level_extremes_into<D: DeliverySource + ?Sized>(
     run: &D,
     scratch: &mut LevelScratch,
 ) -> (u32, u32) {
-    frontier_extremes(run, false, scratch)
+    frontier(run, false, scratch, |_| {})
 }
 
 /// Final modified-level extremes `(min_i ML_i(R), max_i ML_i(R))` in one
@@ -279,19 +295,23 @@ pub fn modified_level_extremes_into<D: DeliverySource + ?Sized>(
     run: &D,
     scratch: &mut LevelScratch,
 ) -> (u32, u32) {
-    frontier_extremes(run, true, scratch)
+    frontier(run, true, scratch, |_| {})
 }
 
 /// The sparse counting-automaton frontier (see the module docs for why it is
-/// exactly the gossip DP): each process carries `(count, seen)`; a round
+/// exactly the level gossip): each process carries `(count, seen)`; a round
 /// sweeps delivered messages into per-receiver accumulators reading only
 /// previous-round sender state, then finalizes the touched receivers —
 /// adopt a higher count outright, union seen-sets at an equal count, and bump
 /// `count` (at most once) when `seen` covers all `m` processes.
-fn frontier_extremes<D: DeliverySource + ?Sized>(
+///
+/// `each_round` sees every process's state at round 0 and after each round;
+/// the final `(min, max)` count is returned.
+fn frontier<D: DeliverySource + ?Sized>(
     run: &D,
     modified: bool,
     s: &mut LevelScratch,
+    mut each_round: impl FnMut(&[Node]),
 ) -> (u32, u32) {
     let m = run.process_count();
     let n = run.horizon();
@@ -346,6 +366,7 @@ fn frontier_extremes<D: DeliverySource + ?Sized>(
             row.fill(0);
         }
     }
+    each_round(nodes);
 
     for r in Round::protocol_rounds(n) {
         // Lazy accumulator reset: a fresh stamp invalidates every receiver's
@@ -412,6 +433,7 @@ fn frontier_extremes<D: DeliverySource + ?Sized>(
                 }
             }
         }
+        each_round(nodes);
     }
 
     let mut lo = u32::MAX;
@@ -423,176 +445,13 @@ fn frontier_extremes<D: DeliverySource + ?Sized>(
     (lo, hi)
 }
 
-/// The gossip dynamic program shared by [`levels`] and [`modified_levels`].
-///
-/// Each process `j` carries a vector `heard[j][i]` = the highest level of `i`
-/// whose attainment has flowed to `j` so far, along with its own current
-/// level. A delivered message `(i, j, r)` merges `i`'s end-of-round-`(r-1)`
-/// vector into `j`'s. After merging a round's messages, `j`'s level rises to
-/// `1 + min_{i≠j} heard[j][i]` whenever that minimum is positive (the `h > 1`
-/// clause), and to 1 when the base condition holds.
-fn gossip_levels(run: &Run, modified: bool) -> LevelTable {
-    let m = run.process_count();
-    let n = run.horizon();
-    assert!(m >= 2, "levels are defined for m >= 2 (paper's model)");
-
-    // valid[j]: has the input flowed to j?  heard_leader[j]: has (leader, 0)
-    // flowed to j? (Only used for the modified measure.)
-    let mut valid: Vec<bool> = (0..m)
-        .map(|j| run.has_input(ProcessId::new(j as u32)))
-        .collect();
-    let mut heard_leader: Vec<bool> = (0..m).map(|j| j == ProcessId::LEADER.index()).collect();
-
-    // heard[j][i] = best level of i known (via flow) to j. heard[j][j] is j's own level.
-    let mut heard: Vec<Vec<u32>> = vec![vec![0; m]; m];
-    let mut table: Vec<Vec<u32>> = vec![vec![0; n as usize + 1]; m];
-
-    let base_holds = |valid_j: bool, heard_leader_j: bool| -> bool {
-        if modified {
-            valid_j && heard_leader_j
-        } else {
-            valid_j
-        }
-    };
-
-    // Round 0: inputs arrive; the leader's own round-0 state is at the leader.
-    for j in 0..m {
-        if base_holds(valid[j], heard_leader[j]) {
-            heard[j][j] = 1;
-        }
-        table[j][0] = heard[j][j];
-    }
-
-    // Rounds 1..=N: deliver messages, merge vectors, raise levels.
-    let mut snapshot = heard.clone();
-    let mut valid_snap = valid.clone();
-    let mut leader_snap = heard_leader.clone();
-    for r in Round::protocol_rounds(n) {
-        snapshot.clone_from(&heard);
-        valid_snap.clone_from(&valid);
-        leader_snap.clone_from(&heard_leader);
-        for slot in run.messages_in_round(r) {
-            let (i, j) = (slot.from.index(), slot.to.index());
-            for k in 0..m {
-                if snapshot[i][k] > heard[j][k] {
-                    heard[j][k] = snapshot[i][k];
-                }
-            }
-            valid[j] |= valid_snap[i];
-            heard_leader[j] |= leader_snap[i];
-        }
-        for j in 0..m {
-            // Base height 1.
-            if base_holds(valid[j], heard_leader[j]) && heard[j][j] == 0 {
-                heard[j][j] = 1;
-            }
-            // h > 1 clause: 1 + min over other processes of their known level.
-            let min_other = (0..m)
-                .filter(|&i| i != j)
-                .map(|i| heard[j][i])
-                .min()
-                .expect("m >= 2");
-            if min_other >= 1 && min_other + 1 > heard[j][j] {
-                heard[j][j] = min_other + 1;
-            }
-            table[j][r.index()] = heard[j][j];
-        }
-    }
-
-    LevelTable { table, n }
-}
-
-/// Computes `L_j^r(R)` straight from the recursive definition, memoized.
-///
-/// Exponentially slower than [`levels`] in the worst case but a faithful
-/// transcription; used as an oracle in tests.
-pub fn level_by_definition(run: &Run, j: ProcessId, r: Round) -> u32 {
-    definition_level(run, j, r, false)
-}
-
-/// Computes `ML_j^r(R)` straight from the recursive definition, memoized.
-pub fn modified_level_by_definition(run: &Run, j: ProcessId, r: Round) -> u32 {
-    definition_level(run, j, r, true)
-}
-
-fn definition_level(run: &Run, j: ProcessId, r: Round, modified: bool) -> u32 {
-    let m = run.process_count();
-    let n = run.horizon();
-    assert!(m >= 2, "levels are defined for m >= 2");
-    let flow = FlowGraph::new(run);
-
-    // Precompute forward cones from every (i, s) and from the environment.
-    let env = flow.env_reach();
-    let leader0 = flow.reach_from(ProcessId::LEADER, Round::INPUT);
-
-    // can_reach[h][i][s] = can i reach height h by round s? Computed level by level.
-    // Height 1:
-    let reach1 = |i: ProcessId, s: Round| -> bool {
-        let base = env.contains(i, s);
-        if modified {
-            base && leader0.contains(i, s)
-        } else {
-            base
-        }
-    };
-
-    let max_h = (n + 2) as usize;
-    // reach[h] for h >= 1; index 0 unused (height 0 always true).
-    let mut reach: Vec<Vec<Vec<bool>>> = Vec::with_capacity(max_h + 1);
-    reach.push(vec![vec![true; n as usize + 1]; m]); // height 0
-    let mut h1 = vec![vec![false; n as usize + 1]; m];
-    for (i, row) in h1.iter_mut().enumerate() {
-        for s in 0..=n {
-            row[s as usize] = reach1(ProcessId::new(i as u32), Round::new(s));
-        }
-    }
-    reach.push(h1);
-
-    for h in 2..=max_h {
-        let prev = &reach[h - 1];
-        let mut cur = vec![vec![false; n as usize + 1]; m];
-        let mut any = false;
-        #[allow(clippy::needless_range_loop)] // `jj` also parameterizes the flow query
-        for jj in 0..m {
-            // For each i ≠ jj, find whether some (i, r_i) flows to (jj, s) with
-            // i reaching h-1 by r_i.
-            for s in 0..=n {
-                let ok = (0..m).filter(|&i| i != jj).all(|i| {
-                    (0..=s).any(|ri| {
-                        prev[i][ri as usize]
-                            && flow.flows_to(
-                                ProcessId::new(i as u32),
-                                Round::new(ri),
-                                ProcessId::new(jj as u32),
-                                Round::new(s),
-                            )
-                    })
-                });
-                if ok {
-                    cur[jj][s as usize] = true;
-                    any = true;
-                }
-            }
-        }
-        reach.push(cur);
-        if !any {
-            break;
-        }
-    }
-
-    let mut best = 0;
-    for (h, table) in reach.iter().enumerate() {
-        if table[j.index()][r.index()] {
-            best = h as u32;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use crate::oracle::{
+        dense_levels, final_extremes, level_by_definition, modified_level_by_definition,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -670,22 +529,28 @@ mod tests {
 
     #[test]
     fn gossip_matches_definition_small_random() {
+        // Both the frontier's tables and the dense gossip oracle, at every
+        // (process, round).
         let g = Graph::complete(3).unwrap();
         let mut rng = StdRng::seed_from_u64(13);
         for _ in 0..30 {
             let run = random_run(&g, 3, 0.5, &mut rng);
             let fast = levels(&run);
             let fast_m = modified_levels(&run);
+            let (dense, dense_m) = (dense_levels(&run, false), dense_levels(&run, true));
             for i in g.vertices() {
                 for rr in 0..=3u32 {
+                    let want = level_by_definition(&run, i, r(rr));
+                    let want_m = modified_level_by_definition(&run, i, r(rr));
+                    let at = (i.index(), rr as usize);
                     assert_eq!(
-                        fast.level_at(i, r(rr)),
-                        level_by_definition(&run, i, r(rr)),
+                        (fast.level_at(i, r(rr)), dense[at.0][at.1]),
+                        (want, want),
                         "L mismatch at {i}, {rr} in {run:?}"
                     );
                     assert_eq!(
-                        fast_m.level_at(i, r(rr)),
-                        modified_level_by_definition(&run, i, r(rr)),
+                        (fast_m.level_at(i, r(rr)), dense_m[at.0][at.1]),
+                        (want_m, want_m),
                         "ML mismatch at {i}, {rr} in {run:?}"
                     );
                 }
@@ -700,8 +565,13 @@ mod tests {
         for _ in 0..20 {
             let run = random_run(&g, 4, 0.7, &mut rng);
             let fast = levels(&run);
+            let dense = dense_levels(&run, false);
             for i in g.vertices() {
-                assert_eq!(fast.level(i), level_by_definition(&run, i, r(4)));
+                for rr in 0..=4u32 {
+                    let want = level_by_definition(&run, i, r(rr));
+                    assert_eq!(fast.level_at(i, r(rr)), want, "{i}, {rr} in {run:?}");
+                    assert_eq!(dense[i.index()][rr as usize], want, "{i}, {rr} in {run:?}");
+                }
             }
         }
     }
@@ -837,7 +707,8 @@ mod tests {
     #[test]
     fn scratch_min_level_matches_table_min_level() {
         // One scratch reused across runs of different graphs and horizons —
-        // exactly the Monte Carlo engine's usage pattern.
+        // exactly the Monte Carlo engine's usage pattern — and the tables'
+        // minima, both against the dense oracle's.
         let mut scratch = LevelScratch::new();
         let mut rng = StdRng::seed_from_u64(404);
         for g in [
@@ -847,14 +718,19 @@ mod tests {
         ] {
             for _ in 0..25 {
                 let run = random_run(&g, 4, 0.55, &mut rng);
+                let want = final_extremes(&dense_levels(&run, false)).0;
+                let want_m = final_extremes(&dense_levels(&run, true)).0;
                 assert_eq!(
-                    min_level_into(&run, &mut scratch),
-                    levels(&run).min_level(),
+                    (min_level_into(&run, &mut scratch), levels(&run).min_level()),
+                    (want, want),
                     "L mismatch in {run:?}"
                 );
                 assert_eq!(
-                    min_modified_level_into(&run, &mut scratch),
-                    modified_levels(&run).min_level(),
+                    (
+                        min_modified_level_into(&run, &mut scratch),
+                        modified_levels(&run).min_level()
+                    ),
+                    (want_m, want_m),
                     "ML mismatch in {run:?}"
                 );
             }
@@ -863,6 +739,7 @@ mod tests {
 
     #[test]
     fn frontier_matches_dense_oracle_and_extremes() {
+        // Every (process, round) of the tables, and the extremes.
         let mut scratch = LevelScratch::new();
         let mut rng = StdRng::seed_from_u64(909);
         for g in [
@@ -873,19 +750,25 @@ mod tests {
             for _ in 0..25 {
                 let run = random_run(&g, 5, 0.5, &mut rng);
                 for modified in [false, true] {
-                    let table = if modified {
-                        modified_levels(&run)
+                    let dense = dense_levels(&run, modified);
+                    let (table, extremes) = if modified {
+                        let extremes = modified_level_extremes_into(&run, &mut scratch);
+                        (modified_levels(&run), extremes)
                     } else {
-                        levels(&run)
+                        (levels(&run), level_extremes_into(&run, &mut scratch))
                     };
-                    let extremes = if modified {
-                        modified_level_extremes_into(&run, &mut scratch)
-                    } else {
-                        level_extremes_into(&run, &mut scratch)
-                    };
+                    for i in g.vertices() {
+                        for rr in 0..=5u32 {
+                            assert_eq!(
+                                table.level_at(i, r(rr)),
+                                dense[i.index()][rr as usize],
+                                "table mismatch (modified={modified}) at {i}, {rr} in {run:?}"
+                            );
+                        }
+                    }
                     assert_eq!(
                         extremes,
-                        (table.min_level(), table.max_level()),
+                        final_extremes(&dense),
                         "extremes mismatch (modified={modified}) in {run:?}"
                     );
                 }

@@ -22,7 +22,6 @@
 //! * [`level`] — information levels `L_i^r(R)` and modified levels
 //!   `ML_i^r(R)`.
 //! * [`clip`] — the clipping construction `Clip_i(R)`.
-//! * [`adversary`] — adversaries as sets of runs; the strong adversary.
 //! * [`rational`] — exact rational arithmetic for outcome probabilities.
 //! * [`bitset`] — compact process sets.
 //!
@@ -46,7 +45,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adversary;
 pub mod bitset;
 pub mod clip;
 pub mod error;
@@ -63,7 +61,6 @@ pub mod rational;
 pub mod run;
 pub mod tape;
 
-pub use adversary::{Adversary, StrongAdversary};
 pub use error::{CaError, ModelError};
 pub use exec::{execute, execute_outputs, Execution};
 pub use exec_sliced::{SlicedEngine, SlicedSpec};
@@ -75,3 +72,11 @@ pub use protocol::{Ctx, Protocol};
 pub use rational::Rational;
 pub use run::{MsgSlot, Run};
 pub use tape::{BitTape, TapeReader, TapeSet};
+
+// The level frontier's test oracles, shared with the integration tests. The
+// alias lets `tests/oracle/mod.rs` name this crate `ca_core` from both.
+#[cfg(test)]
+extern crate self as ca_core;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;

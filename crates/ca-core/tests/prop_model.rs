@@ -15,6 +15,8 @@ use ca_core::rational::Rational;
 use ca_core::run::Run;
 use proptest::prelude::*;
 
+mod oracle;
+
 /// Strategy: a small connected-ish graph (complete, ring, star, line) with
 /// 2..=5 vertices.
 fn graph_strategy() -> impl Strategy<Value = Graph> {
@@ -136,18 +138,21 @@ proptest! {
         }
     }
 
-    /// The gossip level computation matches the literal recursive definition.
+    /// The frontier's level tables and the dense gossip oracle both match
+    /// the literal recursive definition at every (process, round).
     #[test]
     fn gossip_matches_definition((g, run) in run_strategy(2)) {
+        let (l, ml) = (levels(&run), modified_levels(&run));
+        let (dense, dense_m) = (oracle::dense_levels(&run, false), oracle::dense_levels(&run, true));
         for i in g.vertices() {
-            prop_assert_eq!(
-                levels(&run).level(i),
-                ca_core::level::level_by_definition(&run, i, Round::new(2))
-            );
-            prop_assert_eq!(
-                modified_levels(&run).level(i),
-                ca_core::level::modified_level_by_definition(&run, i, Round::new(2))
-            );
+            for r in 0..=2u32 {
+                let want = oracle::level_by_definition(&run, i, Round::new(r));
+                let want_m = oracle::modified_level_by_definition(&run, i, Round::new(r));
+                prop_assert_eq!(l.level_at(i, Round::new(r)), want);
+                prop_assert_eq!(dense[i.index()][r as usize], want);
+                prop_assert_eq!(ml.level_at(i, Round::new(r)), want_m);
+                prop_assert_eq!(dense_m[i.index()][r as usize], want_m);
+            }
         }
     }
 

@@ -2,19 +2,24 @@
 //! against the dense gossip DP, over random graphs (generated families
 //! included) and random delivery patterns.
 //!
-//! The dense per-process level-vector table is the test-only oracle here —
-//! production callers go through [`ca_core::level::level_extremes_into`] and
-//! friends, which run the `(count, seen)` frontier. See the `ca_core::level`
+//! The dense per-process level-vector table is the test-only oracle here
+//! (`oracle/mod.rs`); the library computes levels only with the
+//! `(count, seen)` frontier, both for the extremes
+//! ([`ca_core::level::level_extremes_into`] and friends) and for the
+//! per-round tables ([`ca_core::level::levels`]). See the `ca_core::level`
 //! module docs and DESIGN.md §11 for why the compression is exact.
 
 use ca_core::graph::{generators, Graph};
-use ca_core::ids::ProcessId;
+use ca_core::ids::{ProcessId, Round};
 use ca_core::level::{
     level_extremes_into, levels, min_level_into, min_modified_level_into,
     modified_level_extremes_into, modified_levels, LevelScratch,
 };
 use ca_core::run::EdgeRun;
 use proptest::prelude::*;
+
+mod oracle;
+use oracle::{dense_levels, final_extremes};
 
 /// Strategy: a connected graph from the classic zoo or the generated
 /// families (random-regular, Watts–Strogatz, Barabási–Albert), 2..=24
@@ -60,10 +65,7 @@ fn edge_run_strategy(n: u32) -> impl Strategy<Value = EdgeRun> {
                 let edges = er.directed_edge_count();
                 for (slot, kill) in kill.iter().enumerate() {
                     if *kill {
-                        er.destroy(
-                            slot % edges,
-                            ca_core::ids::Round::new(1 + (slot / edges) as u32),
-                        );
+                        er.destroy(slot % edges, Round::new(1 + (slot / edges) as u32));
                     }
                 }
                 er
@@ -80,29 +82,34 @@ proptest! {
     fn frontier_minima_match_dense_dp(er in edge_run_strategy(4)) {
         let dense = er.to_run();
         let mut scratch = LevelScratch::new();
-        prop_assert_eq!(min_level_into(&er, &mut scratch), levels(&dense).min_level());
+        prop_assert_eq!(
+            min_level_into(&er, &mut scratch),
+            final_extremes(&dense_levels(&dense, false)).0
+        );
         prop_assert_eq!(
             min_modified_level_into(&er, &mut scratch),
-            modified_levels(&dense).min_level()
+            final_extremes(&dense_levels(&dense, true)).0
         );
     }
 
-    /// The frontier's (min, max) extremes equal the full per-process level
-    /// tables — the oracle that materializes every vector.
+    /// The frontier's (min, max) extremes and its per-round level tables
+    /// equal the dense DP's, which materializes every vector: every
+    /// (process, round) of `L` and `ML`.
     #[test]
     fn frontier_extremes_match_level_tables(er in edge_run_strategy(4)) {
         let dense = er.to_run();
         let mut scratch = LevelScratch::new();
-        let l = levels(&dense);
-        let ml = modified_levels(&dense);
-        prop_assert_eq!(
-            level_extremes_into(&er, &mut scratch),
-            (l.min_level(), l.max_level())
-        );
-        prop_assert_eq!(
-            modified_level_extremes_into(&er, &mut scratch),
-            (ml.min_level(), ml.max_level())
-        );
+        let (l, ml) = (dense_levels(&dense, false), dense_levels(&dense, true));
+        prop_assert_eq!(level_extremes_into(&er, &mut scratch), final_extremes(&l));
+        prop_assert_eq!(modified_level_extremes_into(&er, &mut scratch), final_extremes(&ml));
+        let (table, table_m) = (levels(&dense), modified_levels(&dense));
+        for i in 0..dense.process_count() {
+            let p = ProcessId::new(i as u32);
+            for r in 0..=dense.horizon() {
+                prop_assert_eq!(table.level_at(p, Round::new(r)), l[i][r as usize]);
+                prop_assert_eq!(table_m.level_at(p, Round::new(r)), ml[i][r as usize]);
+            }
+        }
     }
 
     /// The edge-keyed run converts losslessly: message counts agree with the

@@ -69,7 +69,7 @@ pub enum CounterId {
     ExecMessagesDestroyed,
     /// Random-tape bits consumed across all processes of an execution.
     ExecTapeBitsConsumed,
-    /// Adversary runs sampled (`RunSampler::sample_into` calls observed by
+    /// Runs the adversary sampled (`RunSampler::sample_into` calls observed by
     /// the Monte Carlo engine).
     RunSamples,
     /// Delivery slots flipped (messages destroyed) by adversary samplers
@@ -332,7 +332,7 @@ pub enum SpanId {
     SimSimulate,
     /// One Monte Carlo trial.
     SimTrial,
-    /// Adversary run sampling within a trial.
+    /// Sampling the adversary's run within a trial.
     RunSample,
     /// Protocol execution (`execute_outputs_observed`) within a trial.
     ExecExecute,

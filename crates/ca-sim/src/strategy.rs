@@ -1,4 +1,4 @@
-//! Adversary strategies: run samplers and structured run families.
+//! Strategies of the adversary: run samplers and structured run families.
 //!
 //! The strong adversary chooses a single worst-case run; the weak adversary
 //! of Section 8 *samples* runs (each message destroyed independently with
@@ -8,7 +8,6 @@
 //! families of candidate worst-case runs are provided for exhaustive search
 //! ([`cut_family`], [`single_drop_family`]).
 
-use ca_core::adversary::prefix_cut_runs;
 use ca_core::graph::Graph;
 use ca_core::ids::Round;
 use ca_core::run::{MsgSlot, Run};
@@ -220,6 +219,21 @@ impl RandomRun {
     }
 }
 
+/// The *prefix-cut* family of runs: full delivery and full input until a cut
+/// round `c`, then nothing from round `c` on — one run per `c ∈ 1..=n+1`
+/// (where `c = n+1` is the good run).
+fn prefix_cut_runs(graph: &Graph, n: u32) -> Vec<Run> {
+    (1..=n + 1)
+        .map(|c| {
+            let mut run = Run::good(graph, n);
+            if c <= n {
+                run.cut_from_round(Round::new(c));
+            }
+            run
+        })
+        .collect()
+}
+
 /// The prefix-cut family (full delivery until round `c`, nothing after),
 /// `c ∈ 1..=n+1`, plus per-link cut variants: for every directed edge and
 /// every round, deliver everything except that link from that round on.
@@ -276,6 +290,23 @@ mod tests {
     use ca_core::ids::ProcessId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn prefix_cut_family_shape() {
+        let g = Graph::complete(2).unwrap();
+        let runs = prefix_cut_runs(&g, 3);
+        assert_eq!(runs.len(), 4);
+        // c = 1: nothing delivered.
+        assert_eq!(runs[0].message_count(), 0);
+        // c = 2: only round 1 delivered (2 directed slots).
+        assert_eq!(runs[1].message_count(), 2);
+        // c = 4 (= n+1): the good run.
+        assert_eq!(runs[3], Run::good(&g, 3));
+        // All keep the full input set.
+        for r in &runs {
+            assert_eq!(r.input_count(), 2);
+        }
+    }
 
     #[test]
     fn fixed_run_ignores_rng() {

@@ -755,9 +755,13 @@ impl Parser<'_> {
                 return Ok(Value::U64(u));
             }
         }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error(format!("bad number `{text}`")))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Value::F64(v)),
+            // As serde_json: a literal past f64's range is an error, not
+            // an infinity that no value can serialize back.
+            Ok(_) => Err(Error(format!("number `{text}` out of range"))),
+            Err(_) => Err(Error(format!("bad number `{text}`"))),
+        }
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -871,5 +875,21 @@ mod tests {
         // Deep enough to overflow the stack without the cap.
         let err = parse(&nest("{\"a\":", "}", 50_000)).unwrap_err();
         assert!(err.to_string().starts_with("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn numbers_past_f64_range_are_errors() {
+        let huge_int = format!("1{}", "0".repeat(400));
+        for text in ["1e400", "-1e400", "1.5E+309", huge_int.as_str()] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.to_string(), format!("number `{text}` out of range"));
+            assert!(parse(&format!("{{\"x\":[{text}]}}")).is_err(), "{text}");
+        }
+        // Underflow rounds to zero, as serde_json reads it.
+        assert_eq!(parse("1e-400").unwrap(), Value::F64(0.0));
+        assert_eq!(
+            parse("1.7976931348623157e308").unwrap(),
+            Value::F64(f64::MAX)
+        );
     }
 }

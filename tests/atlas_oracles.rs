@@ -6,8 +6,9 @@
 //! rows. Each is pinned here against a slow path written straight from its
 //! contract:
 //!
-//! * the frontier against the dense gossip DP on multi-word rows
-//!   (`m` around the 64- and 128-process word boundaries);
+//! * the frontier against the dense gossip DP (the test oracle in
+//!   `crates/ca-core/tests/oracle/mod.rs`) on multi-word rows (`m` around
+//!   the 64- and 128-process word boundaries);
 //! * generated edge lists against fingerprints recorded before the fast
 //!   paths existed (the seed-determinism contract);
 //! * the edge sampler against a `gen_bool` transcription of the draw-order
@@ -21,7 +22,7 @@ use coordinated_attack::core::exec::execute;
 use coordinated_attack::core::graph::{generators, Graph, TopologySpec};
 use coordinated_attack::core::ids::{ProcessId, Round};
 use coordinated_attack::core::level::{
-    level_extremes_into, levels, modified_level_extremes_into, modified_levels, LevelScratch,
+    level_extremes_into, modified_level_extremes_into, LevelScratch,
 };
 use coordinated_attack::core::outcome::Outcome;
 use coordinated_attack::core::run::EdgeRun;
@@ -31,6 +32,10 @@ use coordinated_attack::sim::mix64;
 use coordinated_attack::sim::weak::{LossModel, WeakAdversary};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+
+#[path = "../crates/ca-core/tests/oracle/mod.rs"]
+mod oracle;
+use oracle::{dense_levels, final_extremes};
 
 const BURSTY: LossModel = LossModel::GilbertElliott {
     loss_good: 0.01,
@@ -86,18 +91,19 @@ fn frontier_matches_the_dense_oracle_on_multi_word_rows() {
         for (p, q) in [(0.0, 0.0), (0.05, 0.02), (0.3, 0.1)] {
             damage(&mut er, p, q, &mut rng);
             let dense = er.to_run();
-            let (l, ml) = (levels(&dense), modified_levels(&dense));
+            let l = final_extremes(&dense_levels(&dense, false));
+            let ml = final_extremes(&dense_levels(&dense, true));
             assert_eq!(
                 level_extremes_into(&er, &mut scratch),
-                (l.min_level(), l.max_level()),
+                l,
                 "L on {g} at N = {n}, p = {p}"
             );
             assert_eq!(
                 modified_level_extremes_into(&er, &mut scratch),
-                (ml.min_level(), ml.max_level()),
+                ml,
                 "ML on {g} at N = {n}, p = {p}"
             );
-            top = top.max(ml.max_level());
+            top = top.max(ml.1);
         }
         assert!(
             top >= 3,
