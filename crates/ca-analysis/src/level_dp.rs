@@ -32,6 +32,16 @@
 //! extremes, read in closed form per base interval — at scales where
 //! enumeration returns its typed `bits > 24` error.
 //!
+//! A class is an **orbit** of structural states under the graph's
+//! automorphisms, the leader-moving ones included: a state carries each
+//! process's token flag, so relabelling the processes by an automorphism
+//! maps kernels to kernels and leaves outcomes alone. Each state is stored
+//! as the least key of its orbit (symmetry reduction, as in explicit-state
+//! model checking), which cuts K3's classes from 139 to 41 and K4's from
+//! 4,953 to 303 at N = 2. Graphs without symmetry keep growing classes with
+//! N, so both all-runs passes stop with a typed error past
+//! [`MAX_DP_ENTRIES`] stored kernel edges and mass entries.
+//!
 //! [`weak_outcomes`] answers §8's weak adversary with the same classes and
 //! kernels: it replaces the ∀ over runs with an expectation, carrying a
 //! probability mass per `(class, base)` instead of a set of reachable bases.
@@ -74,6 +84,7 @@ use ca_obs::{CounterId, Metrics, SpanId};
 use ca_protocols::counting::{CountingMsg, CountingState};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Most processes the sweep supports: the per-process seen-set must fit the
 /// 8 bits reserved for it in the packed structural key.
@@ -86,6 +97,16 @@ pub const MAX_DP_PROCESSES: usize = 8;
 /// edges are the largest clique).
 pub const MAX_DP_EDGES: usize = 12;
 
+/// Most entries one all-runs pass stores: kernel edges and the raw keys its
+/// intern map caches, plus the `f64` mass entries [`weak_outcomes`] holds.
+/// The vertex and edge caps above bound a kernel, not how many classes a
+/// long horizon reaches: on a graph with little symmetry the classes keep
+/// growing with `N`. Past this budget (about 256 MiB of kernel edges)
+/// [`sweep`] and [`weak_outcomes`] return [`CaError::MalformedConfig`]
+/// instead of exhausting memory, checked once per kernel build. It admits
+/// star7 at N = 14, t = 3 (16.3 M edges), the largest instance measured.
+pub const MAX_DP_ENTRIES: u64 = 1 << 25;
+
 /// Largest firing range `t = 1/ε` (and threshold `θ`) the all-runs passes
 /// ([`sweep`], [`weak_outcomes`]) accept. The sweep's base sets are runs of
 /// bases, whatever `t`; the bound is for [`weak_outcomes`], whose mass
@@ -97,6 +118,9 @@ pub const MAX_DP_T: u64 = 1 << 16;
 /// Bits per process in the packed structural key: 2 (normalized count)
 /// + 1 (valid) + 1 (token) + 8 (seen-set).
 const PROC_BITS: u32 = 12;
+
+/// One process's word of the packed structural key.
+const WORD_MASK: u128 = (1 << PROC_BITS) - 1;
 
 /// A DP-eligible output rule: the integer-parameter mirror of
 /// [`ca_core::SlicedSpec`]. Both supported protocol families are the Figure-1
@@ -367,7 +391,7 @@ fn pack_state(states: &[CountingState<u8>]) -> u128 {
 fn unpack_state(key: u128, m: usize) -> Vec<CountingState<u8>> {
     (0..m)
         .map(|i| {
-            let w = ((key >> (i as u32 * PROC_BITS)) & 0xFFF) as u16;
+            let w = ((key >> (i as u32 * PROC_BITS)) & WORD_MASK) as u16;
             let mut seen = BitSet::new(m);
             for b in 0..m {
                 if (w >> (4 + b)) & 1 == 1 {
@@ -382,6 +406,121 @@ fn unpack_state(key: u128, m: usize) -> Vec<CountingState<u8>> {
             }
         })
         .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Symmetry: one class per orbit of the graph's automorphisms
+// ---------------------------------------------------------------------------
+
+/// A graph automorphism `σ` acting on structural keys: process `i`'s word
+/// moves to `σ(i)`, and its seen-set bits map through `σ`.
+struct Automorphism {
+    /// Per key position `j`, the process whose word lands there: `σ⁻¹(j)`.
+    from: [u8; MAX_DP_PROCESSES],
+    /// Per seen-set byte, its image under `σ`.
+    seen: [u8; 256],
+}
+
+/// Every automorphism of `graph` but the identity, found by backtracking
+/// over vertex maps: vertex `v` may map to an unused vertex of its degree
+/// whose edges to the images of `0..v` are exactly `v`'s edges to `0..v`.
+/// The maps that move the leader are kept too: a key carries each process's
+/// token flag, and the automaton reads nothing else of who leads.
+fn automorphisms(graph: &Graph) -> Vec<Automorphism> {
+    fn extend(adj: &[u8], map: &mut [u8; MAX_DP_PROCESSES], used: u8, out: &mut Vec<Automorphism>) {
+        let v = used.count_ones() as usize;
+        if v == adj.len() {
+            if map
+                .iter()
+                .take(v)
+                .enumerate()
+                .any(|(i, &s)| usize::from(s) != i)
+            {
+                let mut from = [0; MAX_DP_PROCESSES];
+                for (i, &s) in map.iter().take(v).enumerate() {
+                    from[usize::from(s)] = i as u8;
+                }
+                let seen = std::array::from_fn(|byte| {
+                    (0..v)
+                        .filter(|&b| byte >> b & 1 == 1)
+                        .fold(0, |img, b| img | 1 << map[b])
+                });
+                out.push(Automorphism { from, seen });
+            }
+            return;
+        }
+        for u in (0..adj.len()).filter(|&u| used >> u & 1 == 0) {
+            let keeps_edges = adj[u].count_ones() == adj[v].count_ones()
+                && (0..v).all(|w| adj[v] >> w & 1 == adj[u] >> map[w] & 1);
+            if keeps_edges {
+                map[v] = u as u8;
+                extend(adj, map, used | 1 << u, out);
+            }
+        }
+    }
+    let adj: Vec<u8> = graph
+        .vertices()
+        .map(|v| graph.neighbors(v).iter().fold(0, |a, u| a | 1 << u.index()))
+        .collect();
+    let mut out = Vec::new();
+    extend(&adj, &mut [0; MAX_DP_PROCESSES], 0, &mut out);
+    out
+}
+
+/// The least key in `key`'s orbit under `autos` (the identity included).
+/// Each image is built from the top word down and dropped at the first word
+/// above the best so far.
+fn canonical(key: u128, m: usize, autos: &[Automorphism]) -> u128 {
+    let mut words = [0u16; MAX_DP_PROCESSES];
+    for (i, w) in words.iter_mut().take(m).enumerate() {
+        *w = (key >> (i as u32 * PROC_BITS) & WORD_MASK) as u16;
+    }
+    let mut best = key;
+    'group: for a in autos {
+        let mut image = 0;
+        let mut below = false;
+        for j in (0..m).rev() {
+            let w = words[usize::from(a.from[j])];
+            let w = w & 0xF | u16::from(a.seen[usize::from(w >> 4)]) << 4;
+            let at = j as u32 * PROC_BITS;
+            if !below {
+                let b = (best >> at & WORD_MASK) as u16;
+                if w > b {
+                    continue 'group;
+                }
+                below = w < b;
+            }
+            image |= u128::from(w) << at;
+        }
+        if below {
+            best = image;
+        }
+    }
+    best
+}
+
+/// Hashes the intern map's `u128` keys with one folded multiply: cheaper
+/// than SipHash, and the keys are not attacker-chosen.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u128(&mut self, key: u128) {
+        let lo = key as u64 ^ 0x243F_6A88_85A3_08D3;
+        let hi = (key >> 64) as u64 ^ 0x1319_8A2E_0370_7344;
+        let product = u128::from(lo) * u128::from(hi);
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -514,7 +653,8 @@ pub struct CurvePoint {
 /// observability counters).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DpStats {
-    /// Distinct structural equivalence classes interned.
+    /// Distinct classes interned: orbits of structural states under the
+    /// graph's automorphisms, each named by its least key.
     pub structural_states: u64,
     /// Frontier entries expanded, summed over rounds.
     pub states_visited: u64,
@@ -577,6 +717,15 @@ struct Thresholds {
 
 /// The engine state of one all-runs pass of `spec`, separated so kernels
 /// intern successors while the frontier is being expanded.
+///
+/// A class is an orbit of structural keys under the graph's automorphisms,
+/// named by its least key. Kernels commute with automorphisms (the
+/// automaton reads a delivered set, not its order, and a key carries each
+/// process's token), outcome numerators are symmetric in the processes, and
+/// iid loss weighs an edge set and its image alike. So the orbit of a
+/// successor and its delta do not depend on which member was stepped, and
+/// both measures are exact on orbits: an orbit's bases are the union of its
+/// members' bases, and its mass their sum.
 struct Sweeper {
     m: usize,
     spec: DpSpec,
@@ -584,14 +733,22 @@ struct Sweeper {
     cap: u32,
     /// Per receiver: the sender of each of its in-edges.
     senders: Vec<Vec<usize>>,
-    /// Structural key → interned id.
-    ids: HashMap<u128, usize>,
-    /// id → packed key.
+    /// The graph's automorphisms other than the identity.
+    autos: Vec<Automorphism>,
+    /// Raw or canonical structural key → interned id, so every raw key is
+    /// canonicalized once.
+    ids: HashMap<u128, u32, BuildHasherDefault<KeyHasher>>,
+    /// id → the least key of the class's orbit.
     keys: Vec<u128>,
     /// id → memoized transition kernel.
     kernels: Vec<Option<Kernel>>,
     /// id → memoized [`Sweeper::thresholds`].
     thresholds: Vec<Option<Thresholds>>,
+    /// Kernel edges, cached raw keys and mass entries held, against
+    /// `budget`.
+    stored: u64,
+    /// The most entries the pass may hold: [`MAX_DP_ENTRIES`].
+    budget: u64,
     stats: DpStats,
 }
 
@@ -606,30 +763,66 @@ impl Sweeper {
             spec: *spec,
             cap: spec.saturation_base(),
             senders,
-            ids: HashMap::new(),
+            autos: automorphisms(graph),
+            ids: HashMap::default(),
             keys: Vec::new(),
             kernels: Vec::new(),
             thresholds: Vec::new(),
+            stored: 0,
+            budget: MAX_DP_ENTRIES,
             stats: DpStats::default(),
         }
     }
 
+    /// The class of raw key `key`: its orbit, interned on first sight.
     fn intern(&mut self, key: u128) -> usize {
         if let Some(&id) = self.ids.get(&key) {
-            return id;
+            return id as usize;
         }
-        let id = self.keys.len();
-        self.ids.insert(key, id);
-        self.keys.push(key);
-        self.kernels.push(None);
-        self.thresholds.push(None);
-        self.stats.structural_states += 1;
-        id
+        let canon = canonical(key, self.m, &self.autos);
+        // A key that is its orbit's least has just missed the lookup.
+        let known = if canon == key {
+            None
+        } else {
+            self.ids.get(&canon).copied()
+        };
+        let id = match known {
+            Some(id) => id,
+            None => {
+                let id = self.keys.len() as u32;
+                self.ids.insert(canon, id);
+                self.keys.push(canon);
+                self.kernels.push(None);
+                self.thresholds.push(None);
+                self.stats.structural_states += 1;
+                id
+            }
+        };
+        if canon != key {
+            self.ids.insert(key, id);
+            // Checked with the next kernel's edges.
+            self.stored += 1;
+        }
+        id as usize
+    }
+
+    /// Counts `n` more stored entries against the budget.
+    fn charge(&mut self, n: usize) -> Result<(), CaError> {
+        self.stored += n as u64;
+        if self.stored > self.budget {
+            return Err(CaError::malformed(format!(
+                "level DP budget exceeded: more than {} kernel edges, raw keys and mass \
+                 entries after {} classes",
+                self.budget,
+                self.keys.len()
+            )));
+        }
+        Ok(())
     }
 
     /// The memoized kernel for structural class `id`: its distinct
-    /// `(successor class, base delta)` edges.
-    fn kernel(&mut self, id: usize, obs: &Metrics) -> &[(u32, u32)] {
+    /// `(successor class, base delta)` edges, sorted.
+    fn kernel(&mut self, id: usize, obs: &Metrics) -> Result<&[(u32, u32)], CaError> {
         if self.kernels[id].is_some() {
             self.stats.kernel_hits += 1;
             obs.inc(CounterId::ExactDpKernelHits);
@@ -642,12 +835,15 @@ impl Sweeper {
             self.for_each_successor(id, 0.0, |succ, delta, _| {
                 edges.push((succ as u32, delta));
             });
+            edges.sort_unstable();
+            edges.dedup();
+            self.charge(edges.len())?;
             self.kernels[id] = Some(edges.into_boxed_slice());
         }
-        self.kernels[id].as_deref().expect("kernel just ensured")
+        Ok(self.kernels[id].as_deref().expect("kernel just ensured"))
     }
 
-    /// Reports every distinct successor of structural class `id` as
+    /// Reports every distinct raw successor of structural class `id` as
     /// `(successor class, base delta, weight)`.
     ///
     /// In a synchronous round receiver `j`'s next state depends only on its
@@ -656,12 +852,12 @@ impl Sweeper {
     /// per subset of each receiver's in-edges — `Σ_j 2^indeg(j)` steps, not
     /// one per `2^E` delivery pattern — and the successors are the cartesian
     /// product of the receivers' distinct outcomes. A raw joint state is its
-    /// normalized key plus the delta, so distinct elements are distinct
-    /// `(successor, delta)` pairs: the product needs no dedup. An element's
-    /// weight is its probability when each message is destroyed
-    /// independently with probability `p`: the product over receivers of
-    /// `Σ (1−p)^k p^(indeg−k)` over the subsets giving that receiver's
-    /// outcome.
+    /// normalized key plus the delta, so distinct elements are distinct raw
+    /// successors; raw successors in one orbit report the same class, which
+    /// the kernels merge. An element's weight is its probability when each
+    /// message is destroyed independently with probability `p`: the product
+    /// over receivers of `Σ (1−p)^k p^(indeg−k)` over the subsets giving that
+    /// receiver's outcome.
     fn for_each_successor(&mut self, id: usize, p: f64, mut visit: impl FnMut(usize, u32, f64)) {
         let m = self.m;
         let states = unpack_state(self.keys[id], m);
@@ -724,15 +920,26 @@ impl Sweeper {
 
     /// The weak adversary's kernel for class `id`: every successor with its
     /// probability when each message is destroyed independently with
-    /// probability `p`. Zero-weight edges are dropped.
-    fn weighted_kernel(&mut self, id: usize, p: f64) -> WeightedKernel {
+    /// probability `p`, sorted. Zero-weight edges are dropped; the weights
+    /// of one successor's raw edges are summed in product order.
+    fn weighted_kernel(&mut self, id: usize, p: f64) -> Result<WeightedKernel, CaError> {
         let mut edges = Vec::new();
         self.for_each_successor(id, p, |succ, delta, w| {
             if w > 0.0 {
                 edges.push((succ as u32, delta, w));
             }
         });
-        edges.into_boxed_slice()
+        // A stable sort: duplicates stay in product order.
+        edges.sort_by_key(|&(succ, delta, _)| (succ, delta));
+        edges.dedup_by(|dup, kept| {
+            let same = (dup.0, dup.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += dup.2;
+            }
+            same
+        });
+        self.charge(edges.len())?;
+        Ok(edges.into_boxed_slice())
     }
 
     /// The `(TA, some attack)` numerators of class `id` at `base`, over
@@ -768,7 +975,12 @@ impl Sweeper {
 
     /// Expands every class of `frontier` through its kernel into `next`
     /// (empty on entry), in ascending id order, and empties `frontier`.
-    fn step(&mut self, frontier: &mut [BaseSet], next: &mut Vec<BaseSet>, obs: &Metrics) {
+    fn step(
+        &mut self,
+        frontier: &mut [BaseSet],
+        next: &mut Vec<BaseSet>,
+        obs: &Metrics,
+    ) -> Result<(), CaError> {
         for (id, bases) in frontier.iter_mut().enumerate() {
             if bases.is_empty() {
                 continue;
@@ -777,7 +989,7 @@ impl Sweeper {
             obs.inc(CounterId::ExactDpStates);
             let cap = self.cap;
             let mut collapses = 0;
-            for &(succ, delta) in self.kernel(id, obs) {
+            for &(succ, delta) in self.kernel(id, obs)? {
                 let succ = succ as usize;
                 if next.len() <= succ {
                     next.resize_with(succ + 1, || BaseSet::empty(cap));
@@ -790,6 +1002,7 @@ impl Sweeper {
             self.stats.collapses += collapses;
             bases.clear();
         }
+        Ok(())
     }
 
     /// Adds `rounds` more steps of a frontier at its fixed point to the work
@@ -911,17 +1124,34 @@ fn same_frontier(a: &[BaseSet], b: &[BaseSet]) -> bool {
 /// repeats it: the sweep stops there, reads the remaining checkpoints off
 /// the fixed frontier and adds the remaining rounds' work counters in
 /// closed form, so the report is the one stepping every round would give.
+///
+/// # Errors
+///
+/// [`DpSpec::validate_for_sweep`], and [`CaError::MalformedConfig`] once
+/// kernel edges and cached raw keys exceed [`MAX_DP_ENTRIES`].
 pub fn sweep(
     graph: &Graph,
     rounds: u32,
     spec: &DpSpec,
     checkpoints: &[u32],
 ) -> Result<SweepReport, CaError> {
+    sweep_within(graph, rounds, spec, checkpoints, MAX_DP_ENTRIES)
+}
+
+/// [`sweep`] under a budget of `budget` stored entries.
+fn sweep_within(
+    graph: &Graph,
+    rounds: u32,
+    spec: &DpSpec,
+    checkpoints: &[u32],
+    budget: u64,
+) -> Result<SweepReport, CaError> {
     spec.validate_for_sweep(graph)?;
     let obs = Metrics::new();
-    let report = {
+    let report = (|| {
         let _sweep_span = obs.span(SpanId::ExactDpSweep);
         let mut sw = Sweeper::new(graph, spec);
+        sw.budget = budget;
         // Two reused buffers, indexed by class id; an empty set is a class
         // absent from the frontier.
         let mut frontier = sw.start(graph);
@@ -957,7 +1187,7 @@ pub fn sweep(
             // only at power-of-two rounds before the last keeps the test
             // off the loop.
             let before = (r.is_power_of_two() && r < rounds).then(|| (frontier.clone(), sw.stats));
-            sw.step(&mut frontier, &mut next, &obs);
+            sw.step(&mut frontier, &mut next, &obs)?;
             std::mem::swap(&mut frontier, &mut next);
             if first_certain.is_none() && sw.ta_certain(&frontier) {
                 first_certain = Some(r);
@@ -977,7 +1207,7 @@ pub fn sweep(
             max_ta: Rational::ZERO,
             max_pa: Rational::ZERO,
         });
-        SweepReport {
+        Ok(SweepReport {
             schema: 1,
             m: graph.len(),
             rounds,
@@ -987,10 +1217,10 @@ pub fn sweep(
             u_s: last.max_pa,
             curve,
             stats: sw.stats,
-        }
-    };
+        })
+    })();
     obs.flush();
-    Ok(report)
+    report
 }
 
 /// Expected outcome probabilities against the weak adversary, from
@@ -1018,13 +1248,26 @@ pub struct WeakOutcome {
 ///
 /// # Errors
 ///
-/// The sweep's limits ([`DpSpec::validate_for_sweep`]), and
-/// [`CaError::MalformedConfig`] for `p` outside `[0, 1]` (NaN included).
+/// The sweep's limits ([`DpSpec::validate_for_sweep`]),
+/// [`CaError::MalformedConfig`] for `p` outside `[0, 1]` (NaN included),
+/// and the same error once kernel edges, cached raw keys and mass entries
+/// exceed [`MAX_DP_ENTRIES`].
 pub fn weak_outcomes(
     graph: &Graph,
     rounds: u32,
     spec: &DpSpec,
     p: f64,
+) -> Result<WeakOutcome, CaError> {
+    weak_outcomes_within(graph, rounds, spec, p, MAX_DP_ENTRIES)
+}
+
+/// [`weak_outcomes`] under a budget of `budget` stored entries.
+fn weak_outcomes_within(
+    graph: &Graph,
+    rounds: u32,
+    spec: &DpSpec,
+    p: f64,
+    budget: u64,
 ) -> Result<WeakOutcome, CaError> {
     spec.validate_for_sweep(graph)?;
     if !(0.0..=1.0).contains(&p) {
@@ -1033,11 +1276,13 @@ pub fn weak_outcomes(
         )));
     }
     let mut sw = Sweeper::new(graph, spec);
+    sw.budget = budget;
     let cap = sw.cap as usize;
     let start = sw.intern(pack_state(&initial_states(graph, |_| true)));
     // Per class: the mass at each base, up to the highest base reached.
     let mut mass: Vec<Vec<f64>> = vec![Vec::new(); sw.keys.len()];
     mass[start].push(1.0);
+    sw.charge(1)?;
     let mut kernels: Vec<Option<WeightedKernel>> = Vec::new();
     for _ in 0..rounds {
         let mut next: Vec<Vec<f64>> = Vec::new();
@@ -1048,13 +1293,17 @@ pub fn weak_outcomes(
             if kernels.len() <= id {
                 kernels.resize_with(id + 1, || None);
             }
-            let kernel = kernels[id].get_or_insert_with(|| sw.weighted_kernel(id, p));
+            if kernels[id].is_none() {
+                kernels[id] = Some(sw.weighted_kernel(id, p)?);
+            }
+            let kernel = kernels[id].as_deref().expect("kernel just ensured");
             next.resize_with(sw.keys.len(), Vec::new);
-            for &(succ, delta, w) in kernel.iter() {
+            for &(succ, delta, w) in kernel {
                 let delta = delta as usize;
                 let dst = &mut next[succ as usize];
                 let top = (src.len() - 1 + delta).min(cap);
                 if dst.len() <= top {
+                    sw.charge(top + 1 - dst.len())?;
                     dst.resize(top + 1, 0.0);
                 }
                 // Bases landing below the cap get one add each, as a slice
@@ -1072,6 +1321,7 @@ pub fn weak_outcomes(
                 }
             }
         }
+        sw.stored -= mass.iter().map(|bases| bases.len() as u64).sum::<u64>();
         mass = next;
     }
     // `k / D` in f64 is the same correctly rounded quotient as the reduced
@@ -1115,19 +1365,86 @@ mod tests {
     use ca_core::ids::Round;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn rat(n: i128, d: i128) -> Rational {
         Rational::new(n, d)
     }
 
+    /// star4 led from a leaf: hub 1. Its automorphisms move the leader.
+    fn leaf_led_star4() -> Result<Graph, ca_core::ModelError> {
+        Graph::new(4, &[(1, 0), (1, 2), (1, 3)])
+    }
+
+    /// The paw: triangle 0–1–2 with a pendant 3 on 2. Swapping 0 and 1
+    /// moves the leader.
+    fn paw() -> Result<Graph, ca_core::ModelError> {
+        Graph::new(4, &[(0, 1), (1, 2), (0, 2), (2, 3)])
+    }
+
+    /// Every vertex map of `graph` that keeps its edges, found by trying all
+    /// `m!` permutations: `maps[k][i]` is the image of vertex `i`.
+    fn vertex_automorphisms(graph: &Graph) -> Vec<Vec<usize>> {
+        let m = graph.len();
+        let mut perms: Vec<Vec<usize>> = vec![Vec::new()];
+        for _ in 0..m {
+            perms = perms
+                .iter()
+                .flat_map(|perm| {
+                    (0..m)
+                        .filter(move |v| !perm.contains(v))
+                        .map(move |v| [perm.as_slice(), &[v]].concat())
+                })
+                .collect();
+        }
+        let p = |i: usize| ProcessId::new(i as u32);
+        perms
+            .into_iter()
+            .filter(|map| {
+                graph
+                    .edges()
+                    .iter()
+                    .all(|&(a, b)| graph.has_edge(p(map[a.index()]), p(map[b.index()])))
+            })
+            .collect()
+    }
+
+    /// The least key in `key`'s orbit under `maps`: a map moves process
+    /// `i`'s state to its image, and maps the seen-set element-wise.
+    fn orbit_min(key: u128, m: usize, maps: &[Vec<usize>]) -> u128 {
+        let states = unpack_state(key, m);
+        maps.iter()
+            .map(|map| {
+                let mut image = states.clone();
+                for (i, state) in states.iter().enumerate() {
+                    let mut seen = BitSet::new(m);
+                    for b in state.seen.iter() {
+                        seen.insert(map[b]);
+                    }
+                    image[map[i]] = CountingState {
+                        seen,
+                        ..state.clone()
+                    };
+                }
+                pack_state(&image)
+            })
+            .min()
+            .expect("the identity keeps every edge")
+    }
+
     /// The reference kernel: steps `process_messages` for every receiver
     /// under each of the `2^E` delivery patterns, shifts the counts so the
-    /// minimum positive count is 1, and sums each pattern's weight
-    /// `(1−p)^k p^(E−k)` per `(successor key, delta)`, one sum per `p`. The
-    /// sums are compensated (Neumaier), so that over thousands of patterns
-    /// the reference stays more accurate than the kernel it checks.
-    fn per_pattern_kernel(graph: &Graph, key: u128, ps: &[f64]) -> BTreeMap<(u128, u32), Vec<f64>> {
+    /// minimum positive count is 1, maps the packed successor through
+    /// `canon`, and sums each pattern's weight `(1−p)^k p^(E−k)` per
+    /// `(successor key, delta)`, one sum per `p`. The sums are compensated
+    /// (Neumaier), so that over thousands of patterns the reference stays
+    /// more accurate than the kernel it checks.
+    fn per_pattern_kernel(
+        graph: &Graph,
+        key: u128,
+        ps: &[f64],
+        canon: impl Fn(u128) -> u128,
+    ) -> BTreeMap<(u128, u32), Vec<f64>> {
         let m = graph.len();
         let edges: Vec<(usize, usize)> = graph
             .directed_edges()
@@ -1157,7 +1474,7 @@ mod tests {
             }
             let k = pattern.count_ones() as i32;
             let sums = kernel
-                .entry((pack_state(&next), delta))
+                .entry((canon(pack_state(&next)), delta))
                 .or_insert_with(|| vec![(0.0, 0.0); ps.len()]);
             for ((sum, carry), &p) in sums.iter_mut().zip(ps) {
                 let x = (1.0 - p).powi(k) * p.powi(e - k);
@@ -1186,7 +1503,7 @@ mod tests {
         let mut id = 0;
         while id < sw.keys.len() {
             if depth[id] < rounds {
-                sw.kernel(id, &obs);
+                sw.kernel(id, &obs).unwrap();
                 depth.resize(sw.keys.len(), depth[id] + 1);
             }
             id += 1;
@@ -1204,15 +1521,21 @@ mod tests {
             (Graph::ring(4), 2, usize::MAX),
             (Graph::ring(5), 1, usize::MAX),
             (Graph::star(4), 4, usize::MAX),
+            (leaf_led_star4(), 3, usize::MAX),
+            (paw(), 2, usize::MAX),
             (Graph::line(3), 4, usize::MAX),
             (Graph::complete(4), 1, 32),
         ];
         for (graph, rounds, limit) in cases {
             let graph = graph.unwrap();
+            // Kernel successors are orbits: map the reference's through the
+            // brute-force canonicalizer.
+            let maps = vertex_automorphisms(&graph);
+            let canon = |key| orbit_min(key, graph.len(), &maps);
             let mut sw = interned_classes(&graph, rounds);
             for id in 0..sw.keys.len().min(limit) {
-                let reference = per_pattern_kernel(&graph, sw.keys[id], &ps);
-                let strong = sw.kernel(id, &obs).to_vec();
+                let reference = per_pattern_kernel(&graph, sw.keys[id], &ps, canon);
+                let strong = sw.kernel(id, &obs).unwrap().to_vec();
                 let mut got: Vec<(u128, u32)> = strong
                     .iter()
                     .map(|&(succ, delta)| (sw.keys[succ as usize], delta))
@@ -1225,7 +1548,7 @@ mod tests {
                     "class {id} of {graph:?}: strong kernel differs"
                 );
                 for (i, &p) in ps.iter().enumerate() {
-                    let weighted = sw.weighted_kernel(id, p);
+                    let weighted = sw.weighted_kernel(id, p).unwrap();
                     let got: BTreeMap<(u128, u32), f64> = weighted
                         .iter()
                         .map(|&(succ, delta, w)| ((sw.keys[succ as usize], delta), w))
@@ -1253,6 +1576,119 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn classes_are_the_orbits_of_the_raw_keys_reached() {
+        // Breadth first over raw keys with the per-pattern reference, no
+        // quotient, from every input subset: a sweep of the same depth
+        // interns one class per orbit of the keys this reaches.
+        let cases = [
+            (Graph::complete(3), 8),
+            (Graph::ring(4), 4),
+            (leaf_led_star4(), 6),
+            (paw(), 4),
+            (Graph::line(4), 8),
+        ];
+        for (graph, depth) in cases {
+            let graph = graph.unwrap();
+            let m = graph.len();
+            let mut reached: BTreeSet<u128> = (0u32..1 << m)
+                .map(|mask| pack_state(&initial_states(&graph, |i| mask >> i.index() & 1 == 1)))
+                .collect();
+            let mut layer: Vec<u128> = reached.iter().copied().collect();
+            for _ in 0..depth {
+                let mut next = Vec::new();
+                for key in layer {
+                    for &(succ, _) in per_pattern_kernel(&graph, key, &[], |k| k).keys() {
+                        if reached.insert(succ) {
+                            next.push(succ);
+                        }
+                    }
+                }
+                layer = next;
+            }
+            let maps = vertex_automorphisms(&graph);
+            let orbits: BTreeSet<u128> = reached.iter().map(|&k| orbit_min(k, m, &maps)).collect();
+            let report = sweep(&graph, depth, &DpSpec::protocol_s(1), &[]).unwrap();
+            assert_eq!(
+                report.stats.structural_states,
+                orbits.len() as u64,
+                "{graph:?} at depth {depth}: {} raw keys",
+                reached.len()
+            );
+        }
+    }
+
+    #[test]
+    fn automorphisms_are_the_edge_preserving_vertex_maps() {
+        // The backtracking search against all m! permutations, the leader
+        // free to move; the identity is left out of the search's list.
+        let cases = [
+            (Graph::complete(2), 2),
+            (Graph::complete(4), 24),
+            (Graph::ring(6), 12),
+            (Graph::star(7), 720),
+            (Graph::line(5), 2),
+            (leaf_led_star4(), 6),
+            (paw(), 2),
+            // The asymmetric 7-vertex tree: the identity alone.
+            (
+                Graph::new(7, &[(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]),
+                1,
+            ),
+        ];
+        for (graph, order) in cases {
+            let graph = graph.unwrap();
+            let m = graph.len();
+            let found = automorphisms(&graph);
+            assert_eq!(found.len() + 1, order, "{graph:?}");
+            let mut images: Vec<Vec<usize>> = found
+                .iter()
+                .map(|a| {
+                    let mut image = vec![0; m];
+                    for (j, &i) in a.from.iter().take(m).enumerate() {
+                        image[usize::from(i)] = j;
+                    }
+                    image
+                })
+                .collect();
+            images.push((0..m).collect());
+            images.sort_unstable();
+            assert_eq!(images, vertex_automorphisms(&graph), "{graph:?}");
+        }
+    }
+
+    #[test]
+    fn both_passes_refuse_past_the_entry_budget() {
+        // ring5 at N = 4 stores thousands of kernel edges: a 1,000-entry
+        // budget refuses both passes with the typed error. K2's few kernels
+        // fit, and the budget leaves its answers alone.
+        let ring = Graph::ring(5).unwrap();
+        let k2 = Graph::complete(2).unwrap();
+        let spec = DpSpec::protocol_s(40);
+        let budget = 1_000;
+        let refusals = [
+            sweep_within(&ring, 4, &spec, &[4], budget).map(drop),
+            weak_outcomes_within(&ring, 4, &spec, 0.1, budget).map(drop),
+        ];
+        for refusal in refusals {
+            let err = refusal.unwrap_err();
+            assert!(matches!(err, CaError::MalformedConfig { .. }), "{err}");
+            assert!(err.to_string().contains("budget exceeded"), "{err}");
+        }
+        assert_eq!(
+            sweep_within(&k2, 40, &spec, &[40], budget).unwrap(),
+            sweep(&k2, 40, &spec, &[40]).unwrap()
+        );
+        assert_eq!(
+            weak_outcomes_within(&k2, 40, &spec, 0.1, budget).unwrap(),
+            weak_outcomes(&k2, 40, &spec, 0.1).unwrap()
+        );
+        // Mass entries count: K2's kernels hold 18 edges, but at t = 40 its
+        // mass spreads over up to 40 bases per class.
+        assert!(sweep_within(&k2, 40, &spec, &[40], 30).is_ok());
+        assert!(weak_outcomes_within(&k2, 40, &spec, 0.1, 30).is_err());
     }
 
     #[test]
@@ -1487,7 +1923,7 @@ mod tests {
         for round in 0..=rounds {
             if round > 0 {
                 let prev = frontier.clone();
-                sw.step(&mut frontier, &mut next, &obs);
+                sw.step(&mut frontier, &mut next, &obs).unwrap();
                 std::mem::swap(&mut frontier, &mut next);
                 if first_certain.is_none() && sw.ta_certain(&frontier) {
                     first_certain = Some(round);
@@ -1553,14 +1989,16 @@ mod tests {
                 assert_eq!(got_obs.counter(id), want_obs.counter(id), "{id:?}");
             }
         }
-        // The closed form at the widest horizon: K2 at t = 2 visits 9 classes
-        // per round once fixed, all kernel hits, 3 of them clipping.
+        // The closed form at the widest horizon: K2 at t = 2 visits 8 classes
+        // (orbits under swapping the two generals) per round once fixed, all
+        // kernel hits, 2 of them clipping.
         let n = u32::MAX;
         let wide = sweep(&Graph::complete(2).unwrap(), n, &DpSpec::protocol_s(2), &[]).unwrap();
         let n = u64::from(n);
-        assert_eq!(wide.stats.states_visited, 9 * n - 6);
-        assert_eq!(wide.stats.kernel_hits, 9 * n - 15);
-        assert_eq!(wide.stats.collapses, 3 * n - 7);
+        assert_eq!(wide.stats.structural_states, 8);
+        assert_eq!(wide.stats.states_visited, 8 * n - 4);
+        assert_eq!(wide.stats.kernel_hits, 8 * n - 12);
+        assert_eq!(wide.stats.collapses, 2 * n - 4);
         assert_eq!(wide.curve.len(), 1);
     }
 
@@ -1730,7 +2168,7 @@ mod tests {
                         }
                     }
                     if round < rounds {
-                        sw.step(&mut frontier, &mut next, &obs);
+                        sw.step(&mut frontier, &mut next, &obs).unwrap();
                         std::mem::swap(&mut frontier, &mut next);
                     }
                 }
@@ -1770,7 +2208,7 @@ mod tests {
                     continue;
                 }
                 kernels.resize_with(kernels.len().max(id + 1), || None);
-                let kernel = kernels[id].get_or_insert_with(|| sw.weighted_kernel(id, p));
+                let kernel = kernels[id].get_or_insert_with(|| sw.weighted_kernel(id, p).unwrap());
                 next.resize_with(sw.keys.len(), Vec::new);
                 for &(succ, delta, w) in kernel.iter() {
                     let delta = delta as usize;

@@ -7,9 +7,9 @@
 //! chaos and hunt `--replay` files, `serve --schedule`, and the hunt and
 //! serve `--compare` baselines that embed a schedule. And a fixed table of
 //! mutations — truncations, a float past f64's range, a string or `null`
-//! for a number — applied to the checked-in goldens and to the hunt
-//! golden's shrunk schedule, through every `--compare`, `--replay` and
-//! `--schedule` reader.
+//! for a number, control bytes flipped in at seeded positions — applied to
+//! the checked-in goldens and to the hunt golden's shrunk schedule, through
+//! every `--compare`, `--replay` and `--schedule` reader.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -124,6 +124,9 @@ enum Mutation {
     Float(&'static str),
     /// Replace the target's integer field with this literal.
     Number(&'static str),
+    /// Overwrite one byte outside the string literals with a control byte,
+    /// both drawn from this seed ([`flip_byte`]).
+    Flip(u64),
 }
 
 const MUTATIONS: &[(&str, Mutation)] = &[
@@ -135,7 +138,40 @@ const MUTATIONS: &[(&str, Mutation)] = &[
     ("float_1e400", Mutation::Float("1e400")),
     ("number_as_string", Mutation::Number("\"7\"")),
     ("number_as_null", Mutation::Number("null")),
+    // A flipped byte is a parse error whose message escapes the byte.
+    ("flip_1", Mutation::Flip(1)),
+    ("flip_2", Mutation::Flip(2)),
+    ("flip_3", Mutation::Flip(3)),
+    ("flip_4", Mutation::Flip(4)),
 ];
+
+/// `text` with the byte at a seeded position outside its string literals
+/// (quotes excluded) overwritten by a seeded control byte in `0x01..=0x08`,
+/// which JSON admits nowhere outside a string.
+fn flip_byte(text: &str, seed: u64) -> String {
+    // splitmix64: one fixed draw per seed.
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    let (mut in_string, mut escaped) = (false, false);
+    let outside: Vec<usize> = (text.bytes().enumerate())
+        .filter_map(|(i, b)| {
+            let outside = !in_string && b != b'"';
+            if escaped {
+                escaped = false;
+            } else if in_string && b == b'\\' {
+                escaped = true;
+            } else if b == b'"' {
+                in_string = !in_string;
+            }
+            outside.then_some(i)
+        })
+        .collect();
+    let mut bytes = text.as_bytes().to_vec();
+    bytes[outside[(z % outside.len() as u64) as usize]] = 1 + (z >> 32) as u8 % 8;
+    String::from_utf8(bytes).expect("an ASCII byte for an ASCII byte")
+}
 
 /// `text` with the scalar after the first `"key": ` replaced by `with`.
 fn replace_value(text: &str, key: &str, with: &str) -> String {
@@ -248,6 +284,7 @@ fn mutated_goldens_and_schedules_are_refused() {
         schedule(&["hunt", "--graph", "k2", "--replay"]),
         schedule(&["serve", "--smoke", "--report", "--schedule"]),
     ];
+    let mut escaped_bytes = 0;
     for target in &targets {
         for &(name, mutation) in MUTATIONS {
             let text = match mutation {
@@ -257,6 +294,7 @@ fn mutated_goldens_and_schedules_are_refused() {
                 }
                 Mutation::Float(with) => replace_value(&target.text, target.float, with),
                 Mutation::Number(with) => replace_value(&target.text, target.number, with),
+                Mutation::Flip(seed) => flip_byte(&target.text, seed),
             };
             let file = tmp_path(name);
             std::fs::write(&file, text).expect("write the mutated input");
@@ -268,7 +306,16 @@ fn mutated_goldens_and_schedules_are_refused() {
                     target.args
                 );
             }
+            if let Mutation::Flip(_) = mutation {
+                assert!(
+                    !err.contains(|c: char| c.is_control() && c != '\n'),
+                    "{name} {:?}: a raw control byte in {err:?}",
+                    target.args
+                );
+                escaped_bytes += usize::from(err.contains("unexpected `\\x0"));
+            }
             let _ = std::fs::remove_file(&file);
         }
     }
+    assert!(escaped_bytes > 0, "no flip landed where a value starts");
 }

@@ -644,7 +644,8 @@ impl Parser<'_> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(Error(format!(
                 "unexpected `{}` at byte {}",
-                b as char, self.pos
+                b.escape_ascii(),
+                self.pos
             ))),
             None => Err(Error("unexpected end of input".to_owned())),
         }

@@ -88,20 +88,29 @@ fn thin_run(g: &Graph, n: u32, seed: u64) -> Run {
     run
 }
 
+/// star4 led from a leaf (hub 1): its automorphisms move the leader.
+fn leaf_led_star4() -> Graph {
+    Graph::new(4, &[(1, 0), (1, 2), (1, 3)]).expect("graph")
+}
+
+/// The paw, triangle 0–1–2 with a pendant 3 on 2: swapping 0 and 1 moves
+/// the leader.
+fn paw() -> Graph {
+    Graph::new(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]).expect("graph")
+}
+
 /// A DP-eligible (graph, horizon) pair small enough for the run-space
-/// enumeration oracle: `m + E·n ≤ 24` bits.
+/// enumeration oracle: `m + E·n ≤ 24` bits. The last two shapes have
+/// automorphisms that move the leader, which the DP's quotient uses.
 fn tiny_shape(choice: u8) -> (Graph, u32) {
-    match choice % 4 {
-        0 => (
-            Graph::complete(2).expect("graph"),
-            1 + u32::from(choice) % 6,
-        ),
-        1 => (
-            Graph::complete(3).expect("graph"),
-            1 + u32::from(choice) % 2,
-        ),
-        2 => (Graph::line(3).expect("graph"), 1 + u32::from(choice) % 3),
-        _ => (Graph::ring(4).expect("graph"), 1),
+    let n = u32::from(choice / 6);
+    match choice % 6 {
+        0 => (Graph::complete(2).expect("graph"), 1 + n % 6),
+        1 => (Graph::complete(3).expect("graph"), 1 + n % 2),
+        2 => (Graph::line(3).expect("graph"), 1 + n % 3),
+        3 => (Graph::ring(4).expect("graph"), 1),
+        4 => (leaf_led_star4(), 1 + n % 2),
+        _ => (paw(), 1),
     }
 }
 
@@ -283,6 +292,8 @@ fn weak_outcomes_equal_the_probability_weighted_run_sum() {
         (Graph::complete(3), 2),
         (Graph::ring(4), 2),
         (Graph::star(4), 2),
+        (Ok(leaf_led_star4()), 2),
+        (Ok(paw()), 2),
         (Graph::line(3), 3),
     ];
     // Caps 2, 0, 8 and 1: every base clips on some shape, and none does
